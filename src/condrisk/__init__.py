@@ -4,8 +4,9 @@ The package computes conditional optimized certainty equivalents and their
 dual representation by penalized expectations, conditional phi-divergences
 with their variational (Donsker-Varadhan style) form, and the translation
 completion turning monotone concave conditional operators into niveloids.
-The primal/dual agreement is wired in as a verification oracle throughout
-the test suite and the ``condrisk gap`` command.
+Primal and dual share one multiplier search; ``condrisk gap`` checks their
+values at it, while ``entropic_risk``, ``dual_bruteforce`` and
+``niveloidify_bruteforce`` are the independent oracles.
 """
 
 from .probspace import (

@@ -10,10 +10,11 @@ any number of named positions::
     }
 
 Commands: ``oce`` and ``dual`` (primal / dual certainty equivalents),
-``gap`` (their difference, the built-in self check), ``entropic`` (closed
-form for the relative-entropy generator), ``divergence`` (conditional
-phi-divergence of a measure supplied as a positions-style weight vector)
-and ``check`` (niveloid axiom sampling for a named operator).
+``gap`` (their difference at the shared multiplier, the built-in self
+check), ``entropic`` (closed form for the relative-entropy generator),
+``divergence`` (conditional phi-divergence of a measure supplied as a
+positions-style weight vector) and ``check`` (niveloid axiom sampling for a
+named operator).
 
 Exit codes: 0 success, 2 input or usage errors, 3 a solver missed its
 tolerance, 4 the duality gap exceeded its threshold.  Reports go to stdout
@@ -48,7 +49,7 @@ from .niveloid import (
     iphi_operator,
     squared_expectation_operator,
 )
-from .oce import entropic_risk, oce_primal
+from .oce import _oce_value, entropic_risk, oce_primal
 from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
@@ -315,69 +316,55 @@ def main(argv=None) -> int:
     return code
 
 
+def _solve_oce(space, g, gen, x, tol):
+    sol = oce_primal(space, g, gen, x, tol=tol)
+    return sol.value.values, sol.optimal_a.values, sol
+
+
+def _solve_dual(space, g, gen, x, tol):
+    sol = oce_dual(space, g, gen, x, tol=tol)
+    return sol.value.values, sol.multiplier.values, sol
+
+
+def _solve_gap(space, g, gen, x, threshold):
+    # one solve; the primal value is the objective at the dual multiplier
+    sol = oce_dual(space, g, gen, x, tol=min(DEFAULT_SOLVER_TOL, threshold / 10.0))
+    gaps = np.abs(_oce_value(space, g, gen, x, sol.multiplier.values) - sol.value.values)
+    return gaps, np.full(g.num_atoms, threshold), sol
+
+
+# command -> (solve, default tolerance, note label, exit rule); the exit rule
+# names the column held to the tolerance and the code returned when a row
+# exceeds it
+SOLVE_COMMANDS = {
+    "oce": (_solve_oce, DEFAULT_SOLVER_TOL, "optimal_a", ("residual", EXIT_RESIDUAL)),
+    "dual": (_solve_dual, DEFAULT_SOLVER_TOL, "multiplier", ("residual", EXIT_RESIDUAL)),
+    "gap": (_solve_gap, DEFAULT_GAP_TOL, "threshold", ("value", EXIT_GAP)),
+}
+
+
 def _dispatch(args, scenario: Scenario):
     space, g = scenario.space, scenario.partition
     command = args.command
 
-    if command == "oce":
+    if command in SOLVE_COMMANDS:
+        solve, default_tol, note, (held, exit_code) = SOLVE_COMMANDS[command]
         gen = builtin_generator(args.divergence)
         x = _get_position(scenario, args.position)
-        tol = _resolve_tol(args, DEFAULT_SOLVER_TOL)
-        sol = oce_primal(space, g, gen, x, tol=tol)
+        tol = _resolve_tol(args, default_tol)
+        values, noted, sol = solve(space, g, gen, x, tol)
         rows = [
             _row(
                 _atom_label(i),
-                f"oce:{gen.name}",
-                sol.value.values[i],
+                f"{command}:{gen.name}",
+                values[i],
                 sol.residuals[i],
                 sol.iterations[i],
-                note=f"optimal_a={float(sol.optimal_a.values[i])!r}",
+                note=f"{note}={float(noted[i])!r}",
             )
             for i in range(g.num_atoms)
         ]
-        code = EXIT_RESIDUAL if np.any(sol.residuals > tol) else EXIT_OK
-        return rows, code
-
-    if command == "dual":
-        gen = builtin_generator(args.divergence)
-        x = _get_position(scenario, args.position)
-        tol = _resolve_tol(args, DEFAULT_SOLVER_TOL)
-        sol = oce_dual(space, g, gen, x, tol=tol)
-        rows = [
-            _row(
-                _atom_label(i),
-                f"dual:{gen.name}",
-                sol.value.values[i],
-                sol.residuals[i],
-                sol.iterations[i],
-                note=f"multiplier={float(sol.multiplier.values[i])!r}",
-            )
-            for i in range(g.num_atoms)
-        ]
-        code = EXIT_RESIDUAL if np.any(sol.residuals > tol) else EXIT_OK
-        return rows, code
-
-    if command == "gap":
-        gen = builtin_generator(args.divergence)
-        x = _get_position(scenario, args.position)
-        threshold = _resolve_tol(args, DEFAULT_GAP_TOL)
-        solver_tol = min(DEFAULT_SOLVER_TOL, threshold / 10.0)
-        primal = oce_primal(space, g, gen, x, tol=solver_tol)
-        dual = oce_dual(space, g, gen, x, tol=solver_tol)
-        gaps = np.abs(primal.value.values - dual.value.values)
-        rows = [
-            _row(
-                _atom_label(i),
-                f"gap:{gen.name}",
-                gaps[i],
-                max(primal.residuals[i], dual.residuals[i]),
-                primal.iterations[i] + dual.iterations[i],
-                note=f"threshold={threshold!r}",
-            )
-            for i in range(g.num_atoms)
-        ]
-        code = EXIT_GAP if np.any(gaps > threshold) else EXIT_OK
-        return rows, code
+        return rows, exit_code if any(row[held] > tol for row in rows) else EXIT_OK
 
     if command == "entropic":
         x = _get_position(scenario, args.position)

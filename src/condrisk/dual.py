@@ -13,9 +13,10 @@ turns each atom into the convex program
 with w the conditional state probabilities.  Its KKT conditions say
 y_s = phi_star'(lambda - x_s) for a scalar multiplier lambda, and the
 feasibility map lambda -> sum_s w_s phi_star'(lambda - x_s) is nondecreasing
-with value <= 1 at min_A x and >= 1 at max_A x, so the multiplier is found by
-bisection.  By conjugate duality the optimal value coincides with the primal
-certainty equivalent and the multiplier coincides with the primal maximizer.
+with value <= 1 at min_A x and >= 1 at max_A x.  That map minus one is the
+derivative of the primal objective, so the multiplier is the primal
+maximizer, taken from the one search in :mod:`condrisk.oce`.  By conjugate
+duality the optimal value coincides with the primal certainty equivalent.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import ConditionalDensity, DivergenceGenerator
-from .oce import oce_primal, _check_tol
+from .oce import _atom_searches, _oce_value
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -34,7 +35,7 @@ from .probspace import (
     _check_pair,
     _check_rv,
 )
-from .scalar_opt import DEFAULT_MAX_ITER, SolverError, bisect_nondecreasing
+from .scalar_opt import SolverError
 
 __all__ = ["DualSolution", "oce_dual", "duality_gap", "dual_bruteforce"]
 
@@ -45,8 +46,8 @@ class DualSolution:
 
     ``optimal_density`` is renormalized atom by atom so it satisfies the
     conditional mean-one constraint exactly; ``multiplier`` is the KKT
-    multiplier, which matches the primal maximizer.  ``residuals`` holds the
-    final bisection bracket widths.
+    multiplier, the primal maximizer itself.  ``residuals`` holds the final
+    bisection bracket widths.
     """
 
     value: ConditionalValue
@@ -62,17 +63,14 @@ def oce_dual(
     gen: DivergenceGenerator,
     x: RandomVariable,
     tol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DualSolution:
     """Minimize the penalized expectation atom by atom.
 
-    Atoms are independent convex programs; they are solved serially in atom
-    order for determinism.  A single-state atom admits only the base
-    measure, so there y = 1 and the value is x at that state.
+    The multiplier comes from the search shared with :func:`oce_primal`;
+    the density phi_star'(lambda - x) and the value follow from it.  A
+    single-state atom admits only the base measure, so there y = 1 and the
+    value is x at that state.
     """
-    _check_pair(space, g)
-    _check_rv(space, x)
-    tol = _check_tol(tol)
     if gen.phi_star_prime is None:
         raise ValueError(
             f"generator {gen.name!r} has no conjugate derivative; the dual solver needs one"
@@ -82,19 +80,9 @@ def oce_dual(
     iters = []
     residuals = np.empty(g.num_atoms)
     density = np.empty(space.num_states)
-    for i, idx in enumerate(g.index_arrays()):
-        w = space.probs[idx]
-        w = w / w.sum()
-        xa = x.values[idx]
-
-        def feasibility_gap(t):
-            # conditional mean of the candidate density minus one
-            return float(w @ np.asarray(gen.phi_star_prime(t - xa), dtype=float)) - 1.0
-
-        root = bisect_nondecreasing(
-            feasibility_gap, float(xa.min()), float(xa.max()), xtol=tol, ftol=tol, max_iter=max_iter
-        )
-        y = np.asarray(gen.phi_star_prime(root.x - xa), dtype=float)
+    for i, (idx, w, xa, c, found) in enumerate(_atom_searches(space, g, gen, x, tol)):
+        # lambda - x in the centred coordinates of the search
+        y = np.asarray(gen.phi_star_prime(found.x - (xa - c)), dtype=float)
         mean = float(w @ y)
         if not (mean > 0.0) or not np.isfinite(mean):
             raise SolverError(
@@ -104,9 +92,9 @@ def oce_dual(
         y = y / mean
         density[idx] = y
         values[i] = float(w @ (xa * y + np.asarray(gen.phi(y), dtype=float)))
-        lam[i] = root.x
-        residuals[i] = root.bracket_width
-        iters.append(root.iterations)
+        lam[i] = c + found.x
+        residuals[i] = found.bracket_width
+        iters.append(found.iterations)
     return DualSolution(
         value=ConditionalValue(values),
         optimal_density=ConditionalDensity(density),
@@ -125,13 +113,17 @@ def duality_gap(
 ) -> ConditionalValue:
     """Absolute difference between primal and dual values, per atom.
 
-    Strong duality makes the true gap zero; what this measures is the
-    combined numerical error of the two solvers, which is why it doubles as
-    the package's self-check.
+    Both values are evaluated at the one multiplier lambda of
+    :func:`oce_dual`, so strong duality makes the true gap zero and what
+    this measures is the floating-point error of the conjugate identity
+    phi(y) + phi_star(m) = m y at m = lambda - x, y = phi_star'(m), together
+    with the renormalization of y.  It is a self-check of the value and
+    density formulas, not of the search; the independent oracles are
+    :func:`condrisk.oce.entropic_risk` and :func:`dual_bruteforce`.
     """
-    primal = oce_primal(space, g, gen, x, tol=tol)
     dual = oce_dual(space, g, gen, x, tol=tol)
-    return ConditionalValue(np.abs(primal.value.values - dual.value.values))
+    primal = _oce_value(space, g, gen, x, dual.multiplier.values)
+    return ConditionalValue(np.abs(primal - dual.value.values))
 
 
 def dual_bruteforce(

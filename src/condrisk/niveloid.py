@@ -41,7 +41,6 @@ from .probspace import (
     _check_rv,
 )
 from .scalar_opt import (
-    DEFAULT_MAX_ITER,
     SolverError,
     UnboundedObjective,
     expand_bracket_max,
@@ -73,13 +72,13 @@ class ConditionalOperator:
 
     ``evaluate`` must be deterministic.  The flags are declarations by the
     caller, not inferences; :func:`check_niveloid_axioms` is the tool for
-    testing whether they (and the niveloid axioms) actually hold.
+    testing whether they (and the niveloid axioms) actually hold.  Locality
+    needs no flag of its own: ``concave`` carries it (see the module notes).
     """
 
     evaluate: Callable[[RandomVariable], ConditionalValue]
     monotone: bool = False
     concave: bool = False
-    local: bool = False
     name: str = ""
 
 
@@ -108,7 +107,6 @@ def niveloidify(
     tol: float = 1e-10,
     *,
     ceiling: float = DEFAULT_CEILING,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConditionalValue:
     """Translation completion sup_a ( a + op(x - a) ), atom by atom.
 
@@ -142,7 +140,7 @@ def niveloidify(
         except UnboundedObjective:
             unbounded.append(i)
             continue
-        peak = golden_section_max(shifted_gain, lo, hi, xtol=tol, max_iter=max_iter)
+        peak = golden_section_max(shifted_gain, lo, hi, xtol=tol)
         values[i] = peak.value
     if unbounded:
         raise NotDominatedError(
@@ -438,7 +436,6 @@ def expectation_operator(space: FiniteProbabilitySpace, g: Partition) -> Conditi
         evaluate=lambda x: cond_expectation(space, g, x),
         monotone=True,
         concave=True,
-        local=True,
         name="expectation",
     )
 
@@ -449,7 +446,6 @@ def entropic_operator(space: FiniteProbabilitySpace, g: Partition) -> Conditiona
         evaluate=lambda x: entropic_risk(space, g, x),
         monotone=True,
         concave=True,
-        local=True,
         name="entropic",
     )
 
@@ -463,7 +459,6 @@ def iphi_operator(
         evaluate=lambda x: i_phi(space, g, gen, x),
         monotone=True,
         concave=True,
-        local=True,
         name=f"iphi:{gen.name}",
     )
 
@@ -476,7 +471,7 @@ def atom_min_operator(space: FiniteProbabilitySpace, g: Partition) -> Conditiona
         return ConditionalValue([float(x.values[idx].min()) for idx in g.index_arrays()])
 
     return ConditionalOperator(
-        evaluate=evaluate, monotone=True, concave=True, local=True, name="min"
+        evaluate=evaluate, monotone=True, concave=True, name="min"
     )
 
 
@@ -490,5 +485,5 @@ def squared_expectation_operator(
         return ConditionalValue(cond_expectation(space, g, x).values ** 2)
 
     return ConditionalOperator(
-        evaluate=evaluate, monotone=False, concave=False, local=True, name="sq-expectation"
+        evaluate=evaluate, monotone=False, concave=False, name="sq-expectation"
     )

@@ -259,14 +259,6 @@ def atom_masses(space: FiniteProbabilitySpace, g: Partition) -> np.ndarray:
     return np.array([space.probs[idx].sum() for idx in g.index_arrays()])
 
 
-def atom_weights(space: FiniteProbabilitySpace, g: Partition, atom_index: int) -> np.ndarray:
-    """Conditional probabilities of the states inside one atom (sum to 1)."""
-    _check_pair(space, g)
-    idx = g.index_arrays()[atom_index]
-    p = space.probs[idx]
-    return p / p.sum()
-
-
 def cond_expectation(
     space: FiniteProbabilitySpace, g: Partition, x: RandomVariable
 ) -> ConditionalValue:

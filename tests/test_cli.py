@@ -125,6 +125,24 @@ class TestCommands:
             assert row["value"] <= 1e-6
             assert row["note"] == "threshold=1e-06"
 
+    def test_gap_reports_the_single_solve(self, capsys, scenario_file):
+        # gap solves each atom once, so its residual and iteration count are
+        # those of the oce row for the same atom, not a sum over two solves
+        for divergence in ("kl", "chi2", "power:3"):
+            rows = {}
+            for command in ("oce", "gap"):
+                code, out, _ = run_cli(
+                    capsys,
+                    [command, scenario_file, "--position", "book", "--divergence", divergence,
+                     "--format", "json"],
+                )
+                assert code == 0
+                rows[command] = json.loads(out)["rows"]
+            assert rows["oce"][0]["iterations"] > 0  # A0 has two states to search
+            for oce_row, gap_row in zip(rows["oce"], rows["gap"]):
+                assert gap_row["residual"] == oce_row["residual"]
+                assert gap_row["iterations"] == oce_row["iterations"]
+
     def test_entropic_closed_form(self, capsys, scenario_file):
         code, out, _ = run_cli(
             capsys, ["entropic", scenario_file, "--position", "payoff", "--format", "json"]

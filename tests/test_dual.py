@@ -1,6 +1,8 @@
 """Dual (penalized-expectation) side: KKT solver, duality, and the
 independent simplex-grid oracle."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from condrisk import (
     SolverError,
     builtin_generator,
     check_density,
+    cli,
     dual_bruteforce,
     duality_gap,
     oce_dual,
@@ -165,8 +168,8 @@ class TestStrongDuality:
         )
 
     def test_multiplier_equals_primal_maximizer(self):
-        # both solvers bisect the same monotone map, so the agreement is
-        # far tighter than the acceptance threshold
+        # both solvers take their multiplier from the one shared search, so
+        # the multiplier and the search diagnostics agree exactly
         rng = np.random.default_rng(56)
         for name in BUILTIN_NAMES:
             gen = builtin_generator(name)
@@ -174,7 +177,65 @@ class TestStrongDuality:
                 space, g, x = random_instance(rng)
                 primal = oce_primal(space, g, gen, x)
                 dual = oce_dual(space, g, gen, x)
-                assert np.all(np.abs(primal.optimal_a.values - dual.multiplier.values) <= 1e-12)
+                np.testing.assert_array_equal(primal.optimal_a.values, dual.multiplier.values)
+                assert primal.iterations == dual.iterations
+                np.testing.assert_array_equal(primal.residuals, dual.residuals)
+
+    def test_duality_gap_solves_once(self):
+        # the gap evaluates both sides at one multiplier, so it calls the
+        # conjugate derivative exactly as often as the dual solver alone
+        rng = np.random.default_rng(60)
+        for name in BUILTIN_NAMES:
+            gen = builtin_generator(name)
+            calls = [0]
+
+            def counted(m, inner=gen.phi_star_prime):
+                calls[0] += 1
+                return inner(m)
+
+            counting = dataclasses.replace(gen, phi_star_prime=counted)
+            space, g, x = random_instance(rng)
+            oce_dual(space, g, counting, x)
+            dual_calls, calls[0] = calls[0], 0
+            duality_gap(space, g, counting, x)
+            assert dual_calls > g.num_atoms
+            assert calls[0] == dual_calls, (name, calls[0], dual_calls)
+
+
+class TestLargePayoffScale:
+    """power:50 on x = [0, 1e6]: the slope root sits 0.02 below the top payoff
+    and about 1e-14 above the kink of phi_star' there, finer than the float
+    spacing near 1e6, so the search must run centred at the atom maximum."""
+
+    X = [0.0, 1e6]
+
+    def test_power50_agrees_with_its_centred_translate(self):
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        gen = builtin_generator("power:50")
+        primal = oce_primal(space, g, gen, RandomVariable(self.X))
+        dual = oce_dual(space, g, gen, RandomVariable(self.X))
+        # cash additivity: OCE(x) = OCE(x - 1e6) + 1e6
+        shifted = oce_primal(space, g, gen, RandomVariable([-1e6, 0.0])).value.values[0] + 1e6
+        assert abs(primal.value.values[0] - dual.value.values[0]) <= 1e-6
+        assert abs(primal.value.values[0] - shifted) <= 1e-6
+        assert abs(dual.value.values[0] - shifted) <= 1e-6
+        assert primal.residuals[0] <= 1e-10
+        assert dual.residuals[0] <= 1e-10
+
+    def test_power50_dual_command_converges(self, tmp_path, capsys):
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps({
+            "states": [{"name": "lo", "prob": 0.5}, {"name": "hi", "prob": 0.5}],
+            "atoms": [["lo", "hi"]],
+            "positions": {"payoff": self.X},
+        }))
+        argv = ["dual", str(path), "--position", "payoff", "--divergence", "power:50",
+                "--format", "json"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert abs(json.loads(out)["rows"][0]["value"] - 296702.85013532) <= 1e-6
 
 
 class TestBruteForceOracle:
