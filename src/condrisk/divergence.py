@@ -38,6 +38,9 @@ from .probspace import (
     _as_float_vector,
     _check_pair,
     _check_rv,
+    _cond_mean,
+    _per_atom,
+    atom_masses,
 )
 from .scalar_opt import expand_bracket_max, golden_section_max
 
@@ -357,14 +360,15 @@ def check_density(
     _check_pair(space, g)
     if len(y) != space.num_states:
         raise ValueError(f"density has length {len(y)}, expected {space.num_states}")
-    for i, idx in enumerate(g.index_arrays()):
-        mass = float(space.probs[idx] @ y.values[idx])
-        base = float(space.probs[idx].sum())
-        if abs(mass - base) > tol:
-            raise ValueError(
-                f"atom A{i}: density carries mass {mass!r} but the atom has mass {base!r} "
-                f"(conditional mean {mass / base!r}, expected 1)"
-            )
+    mass = _per_atom(g, lambda b: b.dot(space.probs[b.idx], y.values[b.idx]))
+    base = atom_masses(space, g)
+    bad = np.flatnonzero(np.abs(mass - base) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"atom A{i}: density carries mass {float(mass[i])!r} but the atom has mass "
+            f"{float(base[i])!r} (conditional mean {float(mass[i] / base[i])!r}, expected 1)"
+        )
 
 
 def check_measure(
@@ -377,14 +381,15 @@ def check_measure(
     _check_pair(space, g)
     if len(nu) != space.num_states:
         raise ValueError(f"measure has length {len(nu)}, expected {space.num_states}")
-    for i, idx in enumerate(g.index_arrays()):
-        mass = float(nu.weights[idx].sum())
-        base = float(space.probs[idx].sum())
-        if abs(mass - base) > tol:
-            raise ValueError(
-                f"atom A{i}: measure mass {mass!r} differs from base mass {base!r} "
-                f"by more than {tol}"
-            )
+    mass = _per_atom(g, lambda b: b.sum(nu.weights[b.idx]))
+    base = atom_masses(space, g)
+    bad = np.flatnonzero(np.abs(mass - base) > tol)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"atom A{i}: measure mass {float(mass[i])!r} differs from base mass "
+            f"{float(base[i])!r} by more than {tol}"
+        )
 
 
 def density_to_measure(
@@ -411,13 +416,8 @@ def cond_divergence(
 ) -> ConditionalValue:
     """Conditional phi-divergence of nu from the base measure, per atom."""
     check_measure(space, g, nu)
-    y = nu.weights / space.probs
-    phi_y = np.asarray(gen.phi(y), dtype=float)
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        p = space.probs[idx]
-        out[i] = float(p @ phi_y[idx]) / float(p.sum())
-    return ConditionalValue(out)
+    phi_y = np.asarray(gen.phi(nu.weights / space.probs), dtype=float)
+    return ConditionalValue(_cond_mean(g, space.probs, phi_y))
 
 
 def cond_expectation_under(
@@ -431,14 +431,13 @@ def cond_expectation_under(
     _check_rv(space, x)
     if len(nu) != space.num_states:
         raise ValueError(f"measure has length {len(nu)}, expected {space.num_states}")
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        w = nu.weights[idx]
-        mass = float(w.sum())
-        if mass <= 0.0:
-            raise ValueError(f"atom A{i}: measure mass is zero, conditional expectation undefined")
-        out[i] = float(w @ x.values[idx]) / mass
-    return ConditionalValue(out)
+    mass = _per_atom(g, lambda b: b.sum(nu.weights[b.idx]))
+    empty = np.flatnonzero(mass <= 0.0)
+    if empty.size:
+        raise ValueError(
+            f"atom A{int(empty[0])}: measure mass is zero, conditional expectation undefined"
+        )
+    return ConditionalValue(_cond_mean(g, nu.weights, x.values))
 
 
 def donsker_varadhan_value(
@@ -456,12 +455,9 @@ def donsker_varadhan_value(
     check_measure(space, g, nu)
     _check_rv(space, z, "z")
     star = np.asarray(gen.phi_star(z.values), dtype=float)
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        w = nu.weights[idx]
-        p = space.probs[idx]
-        out[i] = float(w @ z.values[idx]) / float(w.sum()) - float(p @ star[idx]) / float(p.sum())
-    return ConditionalValue(out)
+    return ConditionalValue(
+        _cond_mean(g, nu.weights, z.values) - _cond_mean(g, space.probs, star)
+    )
 
 
 def dv_optimal_argument(

@@ -75,32 +75,30 @@ def oce_dual(
         raise ValueError(
             f"generator {gen.name!r} has no conjugate derivative; the dual solver needs one"
         )
-    values = np.empty(g.num_atoms)
-    lam = np.empty(g.num_atoms)
-    iters = []
-    residuals = np.empty(g.num_atoms)
+    values, lam, iters, residuals = [], [], [], []
     density = np.empty(space.num_states)
-    for i, (idx, w, xa, c, found) in enumerate(_atom_searches(space, g, gen, x, tol)):
+    for b, w, xa, c, (shift, width, steps) in _atom_searches(space, g, gen, x, tol):
         # lambda - x in the centred coordinates of the search
-        y = np.asarray(gen.phi_star_prime(found.x - (xa - c)), dtype=float)
-        mean = float(w @ y)
-        if not (mean > 0.0) or not np.isfinite(mean):
+        y = np.asarray(gen.phi_star_prime(b.spread(shift) - (xa - b.spread(c))), dtype=float)
+        mean = b.dot(w, y)
+        bad = np.flatnonzero(~(mean > 0.0) | ~np.isfinite(mean))
+        if bad.size:
             raise SolverError(
-                f"atom A{i}: candidate density has conditional mean {mean!r}; "
-                "the conjugate derivative looks invalid"
+                f"atom A{b.atoms.start + int(bad[0])}: candidate density has conditional mean "
+                f"{float(mean[bad[0]])!r}; the conjugate derivative looks invalid"
             )
-        y = y / mean
-        density[idx] = y
-        values[i] = float(w @ (xa * y + np.asarray(gen.phi(y), dtype=float)))
-        lam[i] = c + found.x
-        residuals[i] = found.bracket_width
-        iters.append(found.iterations)
+        y = y / b.spread(mean)
+        density[b.idx] = y
+        values.append(b.dot(w, xa * y + np.asarray(gen.phi(y), dtype=float)))
+        lam.append(c + shift)
+        residuals.append(width)
+        iters.append(steps)
     return DualSolution(
-        value=ConditionalValue(values),
+        value=ConditionalValue(np.concatenate(values)),
         optimal_density=ConditionalDensity(density),
-        multiplier=ConditionalValue(lam),
-        iterations=tuple(iters),
-        residuals=residuals,
+        multiplier=ConditionalValue(np.concatenate(lam)),
+        iterations=tuple(np.concatenate(iters).tolist()),
+        residuals=np.concatenate(residuals),
     )
 
 

@@ -11,6 +11,13 @@ Random variables are real vectors indexed by state.  Conditional values
 real vectors indexed by atom; they stand for the G-measurable functions that
 are constant on each atom.
 
+Every conditional reduction runs on one segment layout that a partition
+builds once: its states in atom order, cut into blocks of consecutive atoms
+with at most ``BLOCK_STATES`` states (a larger atom is a block of its own).
+A block is reduced with segmented numpy sums (``np.add.reduceat``), so the
+cost per call grows with the number of blocks, not of atoms, and the
+temporaries stay within one block.
+
 All operations are pure functions of their inputs and are safe to call from
 multiple threads.
 """
@@ -18,6 +25,7 @@ multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -39,6 +47,11 @@ __all__ = [
 # A probability vector may miss 1.0 by accumulated rounding up to this much;
 # anything worse is treated as a modelling error rather than noise.
 PROB_SUM_TOL = 1e-12
+
+# Consecutive atoms are reduced together in blocks of at most this many
+# states: large enough that a block of small atoms costs a few numpy calls,
+# small enough that its temporaries stay a few hundred kilobytes.
+BLOCK_STATES = 1 << 14
 
 
 def _as_float_vector(values, what: str) -> np.ndarray:
@@ -99,13 +112,55 @@ class FiniteProbabilitySpace:
             raise ValueError(f"unknown state name {name!r}") from None
 
 
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Consecutive atoms of a partition, reduced together.
+
+    ``atoms`` is the block's range of atom indices, ``idx`` lists its states
+    atom after atom (a view into the partition's state order) and ``starts``
+    the offset of each atom in ``idx``.  The reductions take
+    block-ordered vectors such as ``v[idx]`` and return one value per atom.
+    A block of one atom reduces with a plain sum or dot and spreads a
+    scalar, the arithmetic of an atom-by-atom loop.
+    """
+
+    atoms: slice
+    idx: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        if self.starts.size == 1:
+            return np.array([v.sum()])
+        return np.add.reduceat(v, self.starts)
+
+    def dot(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if self.starts.size == 1:
+            return np.array([w @ v])
+        return np.add.reduceat(w * v, self.starts)
+
+    def max(self, v: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(v, self.starts)
+
+    def min(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(v, self.starts)
+
+    def spread(self, a: np.ndarray):
+        """Per-atom values repeated over the block's states."""
+        if self.starts.size == 1:
+            return a[0]
+        return np.repeat(a, self.sizes)
+
+
 @dataclass(frozen=True, eq=True)
 class Partition:
     """Partition of the state index set; each member generates one atom.
 
     Atoms are nonempty, pairwise disjoint index tuples whose union is the
     full index range ``0..n-1``.  The generated sigma-algebra consists of
-    all unions of atoms.
+    all unions of atoms.  Construction also lays the states out in atom
+    order, once, and cuts that order into the blocks every conditional
+    reduction runs on (see the module docstring).
     """
 
     atoms: tuple
@@ -128,22 +183,41 @@ class Partition:
                 "atoms must cover exactly the index range 0..n-1; "
                 f"got indices {sorted(set(flat))}"
             )
+        order = np.array(flat, dtype=np.intp)
+        order.setflags(write=False)
+        sizes = np.array([len(a) for a in norm], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        blocks = []
+        first = 0
+        while first < len(norm):
+            # the atoms that end within BLOCK_STATES of this one's start, at least one
+            stop = max(first + 1, int(np.searchsorted(ends, starts[first] + BLOCK_STATES, "right")))
+            lo, hi = starts[first], ends[stop - 1]
+            blocks.append(
+                _Block(slice(first, stop), order[lo:hi], starts[first:stop] - lo, sizes[first:stop])
+            )
+            first = stop
         object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(
-            self, "_index_arrays", tuple(np.asarray(a, dtype=np.intp) for a in norm)
-        )
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     @property
     def num_states(self) -> int:
-        return sum(len(a) for a in self.atoms)
+        return self._order.size
 
     @property
     def num_atoms(self) -> int:
         return len(self.atoms)
 
     def index_arrays(self) -> tuple:
-        """Per-atom state indices as numpy integer arrays."""
+        """Per-atom state indices: views into the partition's state order."""
         return self._index_arrays
+
+    @cached_property
+    def _index_arrays(self) -> tuple:
+        # built on first use: the reductions run on the blocks instead
+        return tuple(v for b in self._blocks for v in np.split(b.idx, b.starts[1:]))
 
     @classmethod
     def trivial(cls, num_states: int) -> "Partition":
@@ -253,10 +327,25 @@ def _check_cv(g: Partition, a: ConditionalValue, what: str = "a") -> None:
         raise ValueError(f"{what} has length {len(a)}, expected {g.num_atoms} (one per atom)")
 
 
+def _per_atom(g: Partition, reduce) -> np.ndarray:
+    """``reduce(block)`` over the blocks of g, concatenated: one value per atom."""
+    return np.concatenate([reduce(b) for b in g._blocks])
+
+
+def _cond_mean(g: Partition, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-atom weighted mean sum(w_s v_s) / sum(w_s) of state-indexed arrays."""
+
+    def mean(b):
+        w = weights[b.idx]
+        return b.dot(w, v[b.idx]) / b.sum(w)
+
+    return _per_atom(g, mean)
+
+
 def atom_masses(space: FiniteProbabilitySpace, g: Partition) -> np.ndarray:
     """Probability mass of each atom, in atom order."""
     _check_pair(space, g)
-    return np.array([space.probs[idx].sum() for idx in g.index_arrays()])
+    return _per_atom(g, lambda b: b.sum(space.probs[b.idx]))
 
 
 def cond_expectation(
@@ -269,11 +358,7 @@ def cond_expectation(
     """
     _check_pair(space, g)
     _check_rv(space, x)
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        p = space.probs[idx]
-        out[i] = float(p @ x.values[idx]) / float(p.sum())
-    return ConditionalValue(out)
+    return ConditionalValue(_cond_mean(g, space.probs, x.values))
 
 
 def cond_sup_norm(
@@ -287,7 +372,7 @@ def cond_sup_norm(
     _check_pair(space, g)
     _check_rv(space, x)
     ax = np.abs(x.values)
-    return ConditionalValue([float(ax[idx].max()) for idx in g.index_arrays()])
+    return ConditionalValue(_per_atom(g, lambda b: b.max(ax[b.idx])))
 
 
 def cond_p_norm(
@@ -305,13 +390,7 @@ def cond_p_norm(
         raise ValueError(f"p must satisfy p >= 1, got {p!r}")
     if np.isinf(p):
         return cond_sup_norm(space, g, x)
-    ax = np.abs(x.values)
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        w = space.probs[idx]
-        w = w / w.sum()
-        out[i] = float(w @ ax[idx] ** p) ** (1.0 / p)
-    return ConditionalValue(out)
+    return ConditionalValue(_cond_mean(g, space.probs, np.abs(x.values) ** p) ** (1.0 / p))
 
 
 def embed(g: Partition, a: ConditionalValue) -> RandomVariable:
@@ -322,8 +401,8 @@ def embed(g: Partition, a: ConditionalValue) -> RandomVariable:
     """
     _check_cv(g, a)
     out = np.empty(g.num_states)
-    for i, idx in enumerate(g.index_arrays()):
-        out[idx] = a.values[i]
+    for b in g._blocks:
+        out[b.idx] = b.spread(a.values[b.atoms])
     return RandomVariable(out)
 
 

@@ -2,9 +2,10 @@
 
 Two workhorses cover everything this package optimizes:
 
-* :func:`bisect_nondecreasing` finds the root of a monotone scalar function.
-  All first-order conditions in this package reduce to such a root because
-  the objectives are concave with monotone derivatives.
+* :func:`bisect_nondecreasing` finds the root of a monotone scalar function,
+  or of many independent ones at once, one bracket each.  All first-order
+  conditions in this package reduce to such a root because the objectives
+  are concave with monotone derivatives.
 * :func:`golden_section_max` maximizes a concave (or unimodal) function on a
   closed interval without derivatives, with :func:`expand_bracket_max`
   growing the interval first when no a-priori bracket is known.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 __all__ = [
     "SolverError",
@@ -67,9 +70,9 @@ class MaxResult:
 
 
 def bisect_nondecreasing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo,
+    hi,
     *,
     xtol: float,
     ftol: Optional[float] = None,
@@ -82,48 +85,131 @@ def bisect_nondecreasing(
     early once the midpoint can no longer be resolved in floating point.
     A sign pattern incompatible with a nondecreasing function raises
     :class:`SolverError`, since it means the supplied function violates the
-    monotonicity this method relies on.
+    monotonicity this method relies on.  A value of +inf counts as above the
+    root (a sum of nonnegative terms that overflowed); NaN and -inf raise.
+
+    ``lo`` and ``hi`` may also be equally long arrays of brackets, one per
+    independent root; ``f`` then maps an array of points, one per bracket,
+    to the array of values there.  Each bracket follows the steps a scalar
+    call would take: it is frozen once it stops, the later points passed for
+    it are ignored, and the fields of the result are arrays.  Scalar
+    brackets give a scalar result and call ``f`` with floats.
     """
-    if not (lo <= hi):
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError(f"brackets must be scalars or equally long vectors, got {lo.shape} and {hi.shape}")
+    if scalar:
+        scalar_f = f
+
+        def f(t):
+            return np.array([scalar_f(float(t[0]))], dtype=float)
+
+    def value(t):
+        return np.asarray(f(t), dtype=float).reshape(lo.shape)
+
+    if not np.all(lo <= hi):
+        i = int(np.argmax(~(lo <= hi)))
+        raise ValueError(f"invalid bracket [{lo[i]}, {hi[i]}]")
     slack = ftol if ftol is not None else 1e-9
-    if lo == hi:
-        return RootResult(lo, f(lo), 0.0, 0, True)
-    flo = f(lo)
-    fhi = f(hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise SolverError(f"non-finite values at the bracket ends: f({lo})={flo}, f({hi})={fhi}")
-    if flo > slack or fhi < -slack:
+    flo = value(lo)
+    live = lo < hi  # a degenerate bracket is its own root
+    fhi = value(hi) if live.any() else flo.copy()
+    fhi[~live] = flo[~live]
+    bad = live & ~((flo > -np.inf) & (fhi > -np.inf))  # NaN or -inf
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverError(
+            f"non-finite values at the bracket ends: f({lo[i]})={flo[i]}, f({hi[i]})={fhi[i]}"
+        )
+    bad = live & ((flo > slack) | (fhi < -slack))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise SolverError(
             "root not bracketed by a nondecreasing function: "
-            f"f({lo})={flo}, f({hi})={fhi}"
+            f"f({lo[i]})={flo[i]}, f({hi[i]})={fhi[i]}"
         )
-    if flo >= 0.0:
-        return RootResult(lo, flo, 0.0, 0, True)
-    if fhi <= 0.0:
-        return RootResult(hi, fhi, 0.0, 0, True)
+    # a root at an end collapses the bracket onto it
+    at_lo = live & (flo >= 0.0)
+    at_hi = live & ~at_lo & (fhi <= 0.0)
+    hi[at_lo], fhi[at_lo] = lo[at_lo], flo[at_lo]
+    lo[at_hi], flo[at_hi] = hi[at_hi], fhi[at_hi]
+    active = live & ~at_lo & ~at_hi
 
-    iterations = 0
-    while iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break  # bracket exhausted at floating point resolution
-        fmid = f(mid)
-        iterations += 1
-        if not math.isfinite(fmid):
-            raise SolverError(f"non-finite value f({mid})={fmid} during bisection")
-        if fmid <= 0.0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        if hi - lo <= xtol and (ftol is None or abs(fmid) <= ftol):
-            break
+    steps = _steps_one if lo.size == 1 else _steps
+    iterations = steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter)
     width = hi - lo
     # report the bracket end whose residual is smallest
-    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    resolved = not (lo < 0.5 * (lo + hi) < hi)  # cannot split further in float
-    converged = resolved or (width <= xtol and (ftol is None or abs(fx) <= ftol))
+    take_lo = np.abs(flo) <= np.abs(fhi)
+    x = np.where(take_lo, lo, hi)
+    fx = np.where(take_lo, flo, fhi)
+    mid = 0.5 * (lo + hi)
+    resolved = ~((lo < mid) & (mid < hi))  # cannot split further in float
+    converged = width <= xtol
+    if ftol is not None:
+        converged &= np.abs(fx) <= ftol
+    converged |= resolved
+    if scalar:
+        return RootResult(float(x[0]), float(fx[0]), float(width[0]), int(iterations[0]), bool(converged[0]))
     return RootResult(x, fx, width, iterations, converged)
+
+
+# The two step loops apply the same rule to each bracket and update lo, hi,
+# flo and fhi in place; they return the number of steps per bracket.
+
+
+def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
+    """Bisect every active bracket at once; a stopped bracket stays frozen."""
+    iterations = np.zeros(lo.shape, dtype=int)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        active &= (lo < mid) & (mid < hi)  # exhausted at floating point resolution
+        if not active.any():
+            break
+        fmid = value(mid)
+        iterations += active
+        bad = active & ~(fmid > -np.inf)  # NaN or -inf
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolverError(f"non-finite value f({mid[i]})={fmid[i]} during bisection")
+        left = active & (fmid <= 0.0)
+        right = active ^ left
+        np.copyto(lo, mid, where=left)
+        np.copyto(flo, fmid, where=left)
+        np.copyto(hi, mid, where=right)
+        np.copyto(fhi, fmid, where=right)
+        done = hi - lo <= xtol
+        if ftol is not None:
+            done &= np.abs(fmid) <= ftol
+        active &= ~done
+    return iterations
+
+
+def _steps_one(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
+    """The same steps for one bracket, in Python floats.
+
+    A step of :func:`_steps` costs a few dozen numpy calls whatever the
+    number of brackets, tens of microseconds that one bracket need not pay.
+    """
+    a, b, fa, fb = float(lo[0]), float(hi[0]), float(flo[0]), float(fhi[0])
+    iterations = 0
+    while active[0] and iterations < max_iter:
+        mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            break
+        fmid = float(value(np.array([mid]))[0])
+        iterations += 1
+        if not fmid > -math.inf:
+            raise SolverError(f"non-finite value f({mid})={fmid} during bisection")
+        if fmid <= 0.0:
+            a, fa = mid, fmid
+        else:
+            b, fb = mid, fmid
+        if b - a <= xtol and (ftol is None or abs(fmid) <= ftol):
+            break
+    lo[0], hi[0], flo[0], fhi[0] = a, b, fa, fb
+    return np.array([iterations])
 
 
 def golden_section_max(

@@ -4,6 +4,7 @@ independent simplex-grid oracle."""
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from condrisk import (
     cli,
     dual_bruteforce,
     duality_gap,
+    entropic_risk,
     oce_dual,
     oce_primal,
 )
@@ -205,7 +207,8 @@ class TestStrongDuality:
 class TestLargePayoffScale:
     """power:50 on x = [0, 1e6]: the slope root sits 0.02 below the top payoff
     and about 1e-14 above the kink of phi_star' there, finer than the float
-    spacing near 1e6, so the search must run centred at the atom maximum."""
+    spacing near 1e6, so the search must run centred at the atom maximum.
+    KL on ranges past 709 overflows exp in the slope."""
 
     X = [0.0, 1e6]
 
@@ -236,6 +239,36 @@ class TestLargePayoffScale:
         out = capsys.readouterr().out
         assert code == 0
         assert abs(json.loads(out)["rows"][0]["value"] - 296702.85013532) <= 1e-6
+
+    @pytest.mark.parametrize("top", [800.0, 1e6])
+    def test_kl_beyond_exp_overflow_matches_entropic(self, top):
+        # exp overflows in the slope once the payoff range passes about 709;
+        # the overflowed slope counts as above the root
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        x = RandomVariable([0.0, top])
+        kl = builtin_generator("kl")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            primal = oce_primal(space, g, kl, x)
+            dual = oce_dual(space, g, kl, x)
+        closed = entropic_risk(space, g, x).values[0]
+        assert abs(closed - math.log(2.0)) <= 1e-12
+        assert abs(primal.value.values[0] - closed) <= 1e-9
+        assert abs(dual.value.values[0] - closed) <= 1e-9
+
+    def test_kl_oce_command_beyond_exp_overflow(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "states": [{"name": "lo", "prob": 0.5}, {"name": "hi", "prob": 0.5}],
+            "atoms": [["lo", "hi"]],
+            "positions": {"payoff": [0.0, 800.0]},
+        }))
+        argv = ["oce", str(path), "--position", "payoff", "--divergence", "kl", "--format", "json"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert abs(json.loads(out)["rows"][0]["value"] - math.log(2.0)) <= 1e-9
 
 
 class TestBruteForceOracle:
