@@ -9,9 +9,9 @@ maximized over scalars a (one per atom; jointly a G-measurable shift).  The
 objective is concave with nonincreasing derivative 1 - E[phi_star'(a - x)|A],
 and since phi_star' is nondecreasing with slope value 1 at the origin the
 maximizer always lies in [min_A x, max_A x].  The solver bisects on that
-derivative, all atoms of a partition block of many small atoms at once;
-generators carrying no conjugate derivative fall back to a golden-section
-search on the objective itself, atom by atom.  The maximizer is also the
+derivative, all atoms of a partition block at once; generators carrying no
+conjugate derivative fall back to a golden-section search on the objective
+itself, atom by atom.  The maximizer is also the
 dual KKT multiplier, so this search is the package's only multiplier solve:
 :func:`oce_primal` and :func:`condrisk.dual.oce_dual` both derive from it.
 """
@@ -36,14 +36,6 @@ from .probspace import (
 from .scalar_opt import bisect_nondecreasing, golden_section_max
 
 __all__ = ["OceSolution", "oce_primal", "i_phi", "entropic_risk"]
-
-# A block of at least this many atoms is bisected as a whole; fewer atoms are
-# searched one by one.  A vector step costs a few dozen numpy calls whatever
-# the number of atoms: on a 2-core x86 VM it lost to per-atom scalar steps
-# for 2-4 atoms of 4 000-8 000 states, broke even at 8 atoms of 2 000 and
-# won for more, smaller atoms.
-BATCH_ATOMS = 8
-
 
 @dataclass(frozen=True)
 class OceSolution:
@@ -75,14 +67,12 @@ def _atom_searches(space, g, gen, x, tol):
     By cash additivity that is the same problem, but float spacing near a'
     scales with |a'| instead of |max_A x|: a root just below a large max_A x
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
-    of a block of at least ``BATCH_ATOMS`` atoms are bisected together, with
-    one phi_star' call over the block's states per step; each atom takes the
-    steps its own scalar search would.  The atoms of a smaller block, and
-    every atom when the generator has no phi_star', get a scalar search
-    each.  Yields, per block, the
-    block, its conditional weights w and payoffs (block-ordered), c, and the
-    arrays (a', bracket width, iterations), so callers reuse the gathered
-    block.
+    of a block are bisected together, with one phi_star' call over the
+    block's states per step; each atom takes the steps its own scalar search
+    would.  A generator without phi_star' gets a golden-section search per
+    atom instead.  Yields, per block, the block, its conditional weights w
+    and payoffs (block-ordered), c, and the arrays (a', bracket width,
+    iterations), so callers reuse the gathered block.
     """
     _check_pair(space, g)
     _check_rv(space, x)
@@ -94,45 +84,34 @@ def _atom_searches(space, g, gen, x, tol):
         c = b.max(xa)
         xc = xa - b.spread(c)
         lo = b.min(xc)
+        if gen.phi_star_prime is None:
+            found = _golden_sections(gen, b, w, xc, lo, tol)
+        else:
 
-        def slope_gap(t):
-            # primal stationarity and the dual mean-one condition at once
-            y = np.asarray(gen.phi_star_prime(b.spread(t) - xc), dtype=float)
-            return b.dot(w, y) - 1.0
+            def slope_gap(t):
+                # primal stationarity and the dual mean-one condition at once
+                y = np.asarray(gen.phi_star_prime(b.spread(t) - xc), dtype=float)
+                return b.dot(w, y) - 1.0
 
-        # a slope that overflows to +inf lies above 1, which bisection
-        # handles; one errstate per search, since entering it costs more
-        # than a step's bookkeeping
-        with np.errstate(over="ignore"):
-            if gen.phi_star_prime is not None and b.starts.size >= BATCH_ATOMS:
+            # a slope that overflows to +inf lies above 1, which bisection
+            # handles; one errstate per search, since entering it costs more
+            # than a step's bookkeeping
+            with np.errstate(over="ignore"):
                 r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
-                found = (r.x, r.bracket_width, r.iterations)
-            else:
-                found = _searches_one_by_one(gen, b, w, xc, lo, tol)
+            found = (r.x, r.bracket_width, r.iterations)
         yield b, w, xa, c, found
 
 
-def _searches_one_by_one(gen, b, w, xc, lo, tol):
-    """Scalar searches over the atoms of a block: arrays of a', bracket width, iterations.
-
-    Bisection on the slope, or golden section on the objective for a
-    generator without phi_star'.
-    """
+def _golden_sections(gen, b, w, xc, lo, tol):
+    """Golden-section searches on the objective, atom by atom: arrays of a', bracket width, iterations."""
     runs = []
     for s, n, low in zip(b.starts, b.sizes, lo):
         wa, xca = w[s : s + n], xc[s : s + n]
-        if gen.phi_star_prime is not None:
 
-            def slope_gap(t):
-                return float(wa @ np.asarray(gen.phi_star_prime(t - xca), dtype=float)) - 1.0
+        def objective(t):
+            return t - float(wa @ np.asarray(gen.phi_star(t - xca), dtype=float))
 
-            runs.append(bisect_nondecreasing(slope_gap, float(low), 0.0, xtol=tol, ftol=tol))
-        else:
-
-            def objective(t):
-                return t - float(wa @ np.asarray(gen.phi_star(t - xca), dtype=float))
-
-            runs.append(golden_section_max(objective, float(low), 0.0, xtol=tol))
+        runs.append(golden_section_max(objective, float(low), 0.0, xtol=tol))
     return tuple(np.array(col) for col in zip(*((r.x, r.bracket_width, r.iterations) for r in runs)))
 
 
@@ -167,7 +146,7 @@ def oce_primal(
     """Maximize a - E[phi_star(a - x) | G] atom by atom.
 
     The per-atom problems are independent (the computation is local to each
-    atom); the atoms of a block of many atoms are bisected together, each by
+    atom); the atoms of a block are bisected together, each by
     the same steps as alone, so the result does not depend on how atoms are
     grouped beyond the rounding of the per-atom sums.
     """

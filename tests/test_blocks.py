@@ -40,7 +40,6 @@ from condrisk import (
     oce_dual,
     oce_primal,
 )
-from condrisk.oce import BATCH_ATOMS
 from condrisk.probspace import BLOCK_STATES
 from condrisk.scalar_opt import bisect_nondecreasing
 
@@ -77,7 +76,7 @@ def spread_position(rng, g, n):
 def instances(seed):
     """Small random partitions, then one with more than a block of states:
     blocks of many small atoms, an atom larger than a block, and a block of
-    too few atoms to be bisected together."""
+    a few large atoms."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(6):
@@ -99,9 +98,8 @@ def test_instances_cover_every_block_shape():
     space, g, x = instances(0)[-1]
     blocks = g._blocks
     assert g.num_states > BLOCK_STATES
-    assert sum(b.starts.size >= BATCH_ATOMS for b in blocks) >= 2
+    assert sum(b.starts.size > 1 for b in blocks) >= 2
     assert any(b.starts.size == 1 and b.idx.size > BLOCK_STATES for b in blocks)
-    assert any(1 < b.starts.size < BATCH_ATOMS for b in blocks)
     assert all(b.starts.size == 1 or b.idx.size <= BLOCK_STATES for b in blocks)
     assert any(len(a) == 1 for a in g.atoms)
     # atoms of one block stop after different numbers of steps
