@@ -40,7 +40,7 @@ from .divergence import (
     builtin_generator,
     cond_divergence,
 )
-from .dual import oce_dual
+from .dual import _gap_and_dual, oce_dual
 from .niveloid import (
     atom_min_operator,
     check_niveloid_axioms,
@@ -49,7 +49,7 @@ from .niveloid import (
     iphi_operator,
     squared_expectation_operator,
 )
-from .oce import _oce_value, entropic_risk, oce_primal
+from .oce import entropic_risk, oce_primal
 from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
@@ -327,9 +327,7 @@ def _solve_dual(space, g, gen, x, tol):
 
 
 def _solve_gap(space, g, gen, x, threshold):
-    # one solve; the primal value is the objective at the dual multiplier
-    sol = oce_dual(space, g, gen, x, tol=min(DEFAULT_SOLVER_TOL, threshold / 10.0))
-    gaps = np.abs(_oce_value(space, g, gen, x, sol.multiplier.values) - sol.value.values)
+    gaps, sol = _gap_and_dual(space, g, gen, x, min(DEFAULT_SOLVER_TOL, threshold / 10.0))
     return gaps, np.full(g.num_atoms, threshold), sol
 
 

@@ -42,7 +42,7 @@ from .probspace import (
     _per_atom,
     atom_masses,
 )
-from .scalar_opt import expand_bracket_max, golden_section_max
+from .scalar_opt import UnboundedObjective, expand_bracket_max, golden_section_max
 
 __all__ = [
     "DivergenceGenerator",
@@ -65,9 +65,16 @@ __all__ = [
 # mass bookkeeping tolerance for densities and measures
 MASS_TOL = 1e-10
 
-# default expansion ceiling for the conjugate search; reaching it means the
+# expansion ceiling for the conjugate search; reaching it means the
 # integrand m*t - phi(t) is still growing, i.e. phi fails superlinearity
-DEFAULT_T_CAP = 1e12
+T_CAP = 1e12
+
+# the spot checks of validate_generator: phi's contract on CHECK_T_GRID and
+# its growth up to CHECK_T_MAX, the conjugate on CHECK_M_GRID within CONJ_TOL
+CHECK_T_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 41)])
+CHECK_T_MAX = 1e6
+CHECK_M_GRID = np.linspace(-5.0, 5.0, 21)
+CONJ_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,21 @@ class DivergenceGenerator:
     ``phi``, ``phi_star`` and ``phi_star_prime`` accept scalars or numpy
     arrays.  ``phi_star_prime`` is the nondecreasing right derivative of the
     conjugate (equivalently the argmax t of m t - phi(t)); it is what the
-    certainty-equivalent solvers bisect on.  ``phi_prime`` is the right
+    certainty-equivalent solvers bisect on.  When it is omitted or None it is
+    synthesized from phi as that argmax, found by direct maximization per
+    argument, so every generator carries one.  ``phi_prime`` is the right
     derivative of phi on (0, inf) and may be None for generators defined
-    only through phi; ``has_closed_forms`` records whether the conjugate
-    fields are analytic or numerically synthesized.
+    only through phi.
     """
 
     name: str
     phi: Callable
     phi_star: Callable
-    phi_star_prime: Callable
+    phi_star_prime: Optional[Callable] = None
     phi_prime: Optional[Callable] = None
-    has_closed_forms: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi_star_prime", self.phi_star_prime or _numeric_argmax(self.phi))
 
 
 def _kl_generator() -> DivergenceGenerator:
@@ -182,34 +192,48 @@ def _map_scalar(fn, m):
     return flat.reshape(arr.shape)
 
 
-def _conjugate_search(phi, m: float, t_cap: float):
+def _conjugate_search(phi, m: float):
     """Maximize h(t) = m t - phi(t) over t >= 0; returns the solver result."""
 
     def h(t):
         return m * t - float(phi(t))
 
-    lo, hi = expand_bracket_max(h, 0.0, 1.0, ceiling=t_cap, min_lo=0.0)
+    lo, hi = expand_bracket_max(h, 0.0, 1.0, ceiling=T_CAP, min_lo=0.0)
     xtol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
     return golden_section_max(h, lo, hi, xtol=xtol)
 
 
-def numeric_conjugate(gen: DivergenceGenerator, m: float, *, t_cap: float = DEFAULT_T_CAP) -> float:
+def _numeric_argmax(phi) -> Callable:
+    """phi_star' from phi alone: the maximizing t of m t - phi(t), per argument.
+
+    An argmax past ``T_CAP`` (KL's exp(m) for m > 27.6) is +inf, a slope
+    the multiplier search reads as above its root.
+    """
+
+    def argmax(m):
+        try:
+            return _conjugate_search(phi, m).x
+        except UnboundedObjective:
+            return np.inf
+
+    return lambda m: _map_scalar(argmax, m)
+
+
+def numeric_conjugate(gen: DivergenceGenerator, m: float) -> float:
     """Conjugate value phi_star(m) computed by direct maximization.
 
     Serves as the independent route against which closed-form conjugates are
     verified.  Raises :class:`condrisk.scalar_opt.UnboundedObjective` when
-    the bracket expansion exceeds ``t_cap``, which signals a generator
+    the bracket expansion exceeds ``T_CAP``, which signals a generator
     violating superlinear growth.
     """
-    return _conjugate_search(gen.phi, float(m), t_cap).value
+    return _conjugate_search(gen.phi, float(m)).value
 
 
 def generator_from_phi(
     name: str,
     phi: Callable,
     phi_prime: Optional[Callable] = None,
-    *,
-    t_cap: float = DEFAULT_T_CAP,
 ) -> DivergenceGenerator:
     """Wrap a user-supplied phi, synthesizing the conjugate numerically.
 
@@ -219,49 +243,31 @@ def generator_from_phi(
     """
 
     def phi_star(m):
-        return _map_scalar(lambda mm: _conjugate_search(phi, mm, t_cap).value, m)
+        return _map_scalar(lambda mm: _conjugate_search(phi, mm).value, m)
 
-    def phi_star_prime(m):
-        return _map_scalar(lambda mm: _conjugate_search(phi, mm, t_cap).x, m)
-
-    return DivergenceGenerator(
-        name=str(name),
-        phi=phi,
-        phi_star=phi_star,
-        phi_star_prime=phi_star_prime,
-        phi_prime=phi_prime,
-        has_closed_forms=False,
-    )
+    return DivergenceGenerator(name=str(name), phi=phi, phi_star=phi_star, phi_prime=phi_prime)
 
 
-def validate_generator(
-    gen: DivergenceGenerator,
-    *,
-    t_grid=None,
-    m_grid=None,
-    t_check: float = 1e6,
-    conj_tol: float = 1e-8,
-) -> None:
+def validate_generator(gen: DivergenceGenerator) -> None:
     """Spot-check the generator contract on a grid; raises on violation.
 
-    Checked: phi(1) = 0, phi >= 0, strict midpoint convexity, superlinear
-    growth up to ``t_check``, conjugate consistency with the direct
-    maximization route, phi_star(0) = 0 and unit slope of phi_star at 0.
-    A grid check cannot certify the contract everywhere, but it reliably
-    rejects the common mistakes (wrong sign, missing normalization at 1,
-    merely linear growth, mismatched conjugate).
+    Checked on ``CHECK_T_GRID``: phi(1) = 0, phi >= 0 and strict midpoint
+    convexity; superlinear growth up to ``CHECK_T_MAX``; on
+    ``CHECK_M_GRID``, agreement of phi_star with the direct maximization
+    route within ``CONJ_TOL`` and a nonnegative, nondecreasing phi_star';
+    phi_star(0) = 0 and unit slope of phi_star at 0.  A grid check cannot
+    certify the contract everywhere, but it reliably rejects the common
+    mistakes (wrong sign, missing normalization at 1, merely linear growth,
+    mismatched conjugate).
     """
-    if t_grid is None:
-        t_grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 41)])
-    t_grid = np.asarray(t_grid, dtype=float)
-    vals = np.asarray(gen.phi(t_grid), dtype=float)
+    vals = np.asarray(gen.phi(CHECK_T_GRID), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{gen.name}: phi must be finite on [0, inf), got non-finite values")
     if abs(float(gen.phi(1.0))) > 1e-12:
         raise ValueError(f"{gen.name}: phi(1) must be 0, got {float(gen.phi(1.0))!r}")
     if np.any(vals < -1e-12):
         raise ValueError(f"{gen.name}: phi must be nonnegative")
-    mids = 0.5 * (t_grid[:-1] + t_grid[1:])
+    mids = 0.5 * (CHECK_T_GRID[:-1] + CHECK_T_GRID[1:])
     mid_vals = np.asarray(gen.phi(mids), dtype=float)
     chords = 0.5 * (vals[:-1] + vals[1:])
     slack = 1e-12 * (1.0 + np.abs(chords))
@@ -271,27 +277,25 @@ def validate_generator(
     # strictness is only decidable where curvature cannot hide below rounding;
     # admissible generators always have visible curvature at unit scale since
     # phi > 0 away from its minimum at 1
-    window = (t_grid[:-1] >= 0.1) & (t_grid[1:] <= 10.0)
+    window = (CHECK_T_GRID[:-1] >= 0.1) & (CHECK_T_GRID[1:] <= 10.0)
     if np.any(mid_vals[window] >= (chords - slack)[window]):
         rel = np.nonzero(window)[0]
         bad = int(rel[np.argmax((mid_vals - chords + slack)[window])])
         raise ValueError(f"{gen.name}: phi is not strictly convex near t={mids[bad]:g}")
-    tail = np.geomspace(max(1.0, t_check / 1e4), t_check, 9)
+    tail = np.geomspace(max(1.0, CHECK_T_MAX / 1e4), CHECK_T_MAX, 9)
     ratios = np.asarray(gen.phi(tail), dtype=float) / tail
     if np.any(np.diff(ratios) <= 0.0) or ratios[-1] < 2.0 * ratios[0]:
         raise ValueError(
-            f"{gen.name}: phi(t)/t must keep growing (checked up to t={t_check:g}); "
+            f"{gen.name}: phi(t)/t must keep growing (checked up to t={CHECK_T_MAX:g}); "
             "the generator looks at most linear"
         )
-    if m_grid is None:
-        m_grid = np.linspace(-5.0, 5.0, 21)
-    for m in np.asarray(m_grid, dtype=float):
+    for m in CHECK_M_GRID:
         direct = numeric_conjugate(gen, m)
         stated = float(gen.phi_star(m))
-        if abs(direct - stated) > conj_tol:
+        if abs(direct - stated) > CONJ_TOL:
             raise ValueError(
                 f"{gen.name}: phi_star({m:g})={stated!r} disagrees with direct "
-                f"maximization {direct!r} beyond {conj_tol:g}"
+                f"maximization {direct!r} beyond {CONJ_TOL:g}"
             )
     if abs(float(gen.phi_star(0.0))) > 1e-10:
         raise ValueError(f"{gen.name}: phi_star(0) must be 0")
@@ -299,7 +303,7 @@ def validate_generator(
     # which floating rounding in phi limits to about sqrt(eps)
     if abs(float(gen.phi_star_prime(0.0)) - 1.0) > 1e-6:
         raise ValueError(f"{gen.name}: phi_star must have slope 1 at the origin")
-    d = np.asarray(gen.phi_star_prime(np.asarray(m_grid, dtype=float)), dtype=float)
+    d = np.asarray(gen.phi_star_prime(CHECK_M_GRID), dtype=float)
     if np.any(d < -1e-12) or np.any(np.diff(d) < -1e-10):
         raise ValueError(f"{gen.name}: phi_star_prime must be nonnegative and nondecreasing")
 

@@ -71,10 +71,6 @@ def oce_dual(
     single-state atom admits only the base measure, so there y = 1 and the
     value is x at that state.
     """
-    if gen.phi_star_prime is None:
-        raise ValueError(
-            f"generator {gen.name!r} has no conjugate derivative; the dual solver needs one"
-        )
     values, lam, iters, residuals = [], [], [], []
     density = np.empty(space.num_states)
     for b, w, xa, c, (shift, width, steps) in _atom_searches(space, g, gen, x, tol):
@@ -102,6 +98,13 @@ def oce_dual(
     )
 
 
+def _gap_and_dual(space, g, gen, x, tol):
+    """|primal - dual| per atom, both at the multiplier of one dual solve, and that solve."""
+    dual = oce_dual(space, g, gen, x, tol=tol)
+    primal = _oce_value(space, g, gen, x, dual.multiplier.values)
+    return np.abs(primal - dual.value.values), dual
+
+
 def duality_gap(
     space: FiniteProbabilitySpace,
     g: Partition,
@@ -119,9 +122,7 @@ def duality_gap(
     density formulas, not of the search; the independent oracles are
     :func:`condrisk.oce.entropic_risk` and :func:`dual_bruteforce`.
     """
-    dual = oce_dual(space, g, gen, x, tol=tol)
-    primal = _oce_value(space, g, gen, x, dual.multiplier.values)
-    return ConditionalValue(np.abs(primal - dual.value.values))
+    return ConditionalValue(_gap_and_dual(space, g, gen, x, tol)[0])
 
 
 def dual_bruteforce(

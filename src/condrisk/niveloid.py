@@ -39,6 +39,7 @@ from .probspace import (
     embed,
     _check_pair,
     _check_rv,
+    _per_atom,
 )
 from .scalar_opt import (
     SolverError,
@@ -63,7 +64,18 @@ __all__ = [
     "squared_expectation_operator",
 ]
 
-DEFAULT_CEILING = 1e6
+# bracket expansion past CEILING means the supremum being searched is +inf
+CEILING = 1e6
+
+# penalty: at most PENALTY_SWEEPS coordinate-ascent sweeps, each coordinate
+# maximized to PENALTY_XTOL
+PENALTY_SWEEPS = 500
+PENALTY_XTOL = 1e-10
+
+# niveloidify_bruteforce: the shift grids reach BRUTEFORCE_PAD beyond each
+# atom's range of x, the position grids BRUTEFORCE_DEPTH below x
+BRUTEFORCE_PAD = 1.0
+BRUTEFORCE_DEPTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,6 @@ def niveloidify(
     op: ConditionalOperator,
     x: RandomVariable,
     tol: float = 1e-10,
-    *,
-    ceiling: float = DEFAULT_CEILING,
 ) -> ConditionalValue:
     """Translation completion sup_a ( a + op(x - a) ), atom by atom.
 
@@ -114,7 +124,7 @@ def niveloidify(
     completion to a scalar search over the shift a, and concavity both makes
     that search concave and localizes the value to each atom.  The initial
     shift bracket [min_A x - 1, max_A x + 1] is doubled outward as needed;
-    sustained growth past ``ceiling`` means the supremum is +inf and raises
+    sustained growth past ``CEILING`` means the supremum is +inf and raises
     :class:`NotDominatedError` naming the offending atoms.
     """
     _check_pair(space, g)
@@ -136,7 +146,7 @@ def niveloidify(
 
         lo, hi = float(xa.min()) - 1.0, float(xa.max()) + 1.0
         try:
-            lo, hi = expand_bracket_max(shifted_gain, lo, hi, ceiling=ceiling)
+            lo, hi = expand_bracket_max(shifted_gain, lo, hi, ceiling=CEILING)
         except UnboundedObjective:
             unbounded.append(i)
             continue
@@ -145,7 +155,7 @@ def niveloidify(
     if unbounded:
         raise NotDominatedError(
             f"operator {op.name!r} is not dominated by any niveloid: the completion "
-            f"grew past {ceiling:g} on atoms {unbounded}",
+            f"grew past {CEILING:g} on atoms {unbounded}",
             unbounded,
         )
     return ConditionalValue(values)
@@ -158,18 +168,16 @@ def niveloidify_bruteforce(
     x: RandomVariable,
     grid: int = 9,
     *,
-    depth: float = 2.0,
-    pad: float = 1.0,
     order: str = "y_then_a",
 ) -> ConditionalValue:
     """Grid supremum of the translation completion; oracle for tiny spaces.
 
-    Sweeps G-measurable shifts a (per-atom grids over [min_A x - pad,
-    max_A x + pad]) jointly with positions dominated by x.  The two
+    Sweeps G-measurable shifts a (per-atom grids over [min_A x - BRUTEFORCE_PAD,
+    max_A x + BRUTEFORCE_PAD]) jointly with positions dominated by x.  The two
     equivalent nestings of the defining supremum are both available:
 
-    * ``"y_then_a"``: sup over y <= x (per-state grids reaching ``depth``
-      below x) of sup over a of a + op(y - a);
+    * ``"y_then_a"``: sup over y <= x (per-state grids reaching
+      ``BRUTEFORCE_DEPTH`` below x) of sup over a of a + op(y - a);
     * ``"a_then_y"``: sup over a of sup over y <= x - a of a + op(y).
 
     Any declared flags are ignored: this is the oracle one runs when the
@@ -190,7 +198,9 @@ def niveloidify_bruteforce(
         raise ValueError(f"order must be 'y_then_a' or 'a_then_y', got {order!r}")
     index_arrays = g.index_arrays()
     a_grids = [
-        np.linspace(x.values[idx].min() - pad, x.values[idx].max() + pad, grid)
+        np.linspace(
+            x.values[idx].min() - BRUTEFORCE_PAD, x.values[idx].max() + BRUTEFORCE_PAD, grid
+        )
         for idx in index_arrays
     ]
     best = np.full(g.num_atoms, -np.inf)
@@ -204,7 +214,7 @@ def niveloidify_bruteforce(
             tops = x.values
         else:
             tops = x.values - a_states
-        axes = [np.linspace(top - depth, top, grid) for top in tops]
+        axes = [np.linspace(top - BRUTEFORCE_DEPTH, top, grid) for top in tops]
         for combo in itertools.product(*axes):
             y = np.asarray(combo)
             z = y - a_states if order == "y_then_a" else y
@@ -236,27 +246,21 @@ def penalty(
     g: Partition,
     op: ConditionalOperator,
     y: ConditionalDensity,
-    ascent_iters: int = 500,
-    *,
-    xtol: float = 1e-10,
-    ceiling: float = DEFAULT_CEILING,
 ) -> ConditionalValue:
     """Convex-duality penalty sup_z ( op(z) - E[z y | G] ), per atom.
 
-    Computed by cyclic coordinate ascent over the states of each atom, each
-    coordinate maximized by a bracketed golden-section search.  The result
-    is a certified lower bound on the true penalty that is exact for
+    Computed by cyclic coordinate ascent over the states of each atom, at
+    most ``PENALTY_SWEEPS`` sweeps, each coordinate maximized to
+    ``PENALTY_XTOL`` by a bracketed golden-section search.  The result is a
+    certified lower bound on the true penalty that is exact for
     coordinate-wise separable operators; sweeps stop early once a full pass
     improves the objective by less than 1e-12.  Genuinely infinite
     penalties (a density the operator does not price, as with a shifted
-    expectation and y != 1) saturate at the search ceiling instead of
+    expectation and y != 1) saturate at ``CEILING`` instead of
     diverging, so a huge returned value means "effectively +inf".
     """
     _check_pair(space, g)
     check_density(space, g, y)
-    ascent_iters = int(ascent_iters)
-    if ascent_iters < 1:
-        raise ValueError(f"ascent_iters must be positive, got {ascent_iters}")
     out = np.empty(g.num_atoms)
     for i, idx in enumerate(g.index_arrays()):
         w = space.probs[idx]
@@ -268,7 +272,7 @@ def penalty(
             return float(_eval(op, g, RandomVariable(zvec))[i]) - float(w @ (zvec[idx] * ya))
 
         current = objective_at(z)
-        for _ in range(ascent_iters):
+        for _ in range(PENALTY_SWEEPS):
             before = current
             for s in idx:
 
@@ -279,10 +283,10 @@ def penalty(
 
                 lo, hi = z[s] - 1.0, z[s] + 1.0
                 try:
-                    lo, hi = expand_bracket_max(along, lo, hi, ceiling=ceiling)
+                    lo, hi = expand_bracket_max(along, lo, hi, ceiling=CEILING)
                 except UnboundedObjective:
-                    lo, hi = -ceiling, ceiling
-                peak = golden_section_max(along, lo, hi, xtol=xtol)
+                    lo, hi = -CEILING, CEILING
+                peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
                 if peak.value > current:
                     z[s] = peak.x
                     current = peak.value
@@ -468,7 +472,7 @@ def atom_min_operator(space: FiniteProbabilitySpace, g: Partition) -> Conditiona
 
     def evaluate(x: RandomVariable) -> ConditionalValue:
         _check_rv(space, x)
-        return ConditionalValue([float(x.values[idx].min()) for idx in g.index_arrays()])
+        return ConditionalValue(_per_atom(g, lambda b: b.min(x.values[b.idx])))
 
     return ConditionalOperator(
         evaluate=evaluate, monotone=True, concave=True, name="min"

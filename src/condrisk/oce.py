@@ -9,11 +9,11 @@ maximized over scalars a (one per atom; jointly a G-measurable shift).  The
 objective is concave with nonincreasing derivative 1 - E[phi_star'(a - x)|A],
 and since phi_star' is nondecreasing with slope value 1 at the origin the
 maximizer always lies in [min_A x, max_A x].  The solver bisects on that
-derivative, all atoms of a partition block at once; generators carrying no
-conjugate derivative fall back to a golden-section search on the objective
-itself, atom by atom.  The maximizer is also the
-dual KKT multiplier, so this search is the package's only multiplier solve:
-:func:`oce_primal` and :func:`condrisk.dual.oce_dual` both derive from it.
+derivative, all atoms of a partition block at once; every generator carries
+phi_star' (synthesized from phi when not given), so this bisection is the
+only search.  The maximizer is also the dual KKT multiplier, so it is the
+package's only multiplier solve: :func:`oce_primal` and
+:func:`condrisk.dual.oce_dual` both derive from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .probspace import (
     _cond_mean,
     _per_atom,
 )
-from .scalar_opt import bisect_nondecreasing, golden_section_max
+from .scalar_opt import bisect_nondecreasing
 
 __all__ = ["OceSolution", "oce_primal", "i_phi", "entropic_risk"]
 
@@ -69,9 +69,8 @@ def _atom_searches(space, g, gen, x, tol):
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
     of a block are bisected together, with one phi_star' call over the
     block's states per step; each atom takes the steps its own scalar search
-    would.  A generator without phi_star' gets a golden-section search per
-    atom instead.  Yields, per block, the block, its conditional weights w
-    and payoffs (block-ordered), c, and the arrays (a', bracket width,
+    would.  Yields, per block, the block, its conditional weights w and
+    payoffs (block-ordered), c, and the arrays (a', bracket width,
     iterations), so callers reuse the gathered block.
     """
     _check_pair(space, g)
@@ -84,35 +83,18 @@ def _atom_searches(space, g, gen, x, tol):
         c = b.max(xa)
         xc = xa - b.spread(c)
         lo = b.min(xc)
-        if gen.phi_star_prime is None:
-            found = _golden_sections(gen, b, w, xc, lo, tol)
-        else:
 
-            def slope_gap(t):
-                # primal stationarity and the dual mean-one condition at once
-                y = np.asarray(gen.phi_star_prime(b.spread(t) - xc), dtype=float)
-                return b.dot(w, y) - 1.0
+        def slope_gap(t):
+            # primal stationarity and the dual mean-one condition at once
+            y = np.asarray(gen.phi_star_prime(b.spread(t) - xc), dtype=float)
+            return b.dot(w, y) - 1.0
 
-            # a slope that overflows to +inf lies above 1, which bisection
-            # handles; one errstate per search, since entering it costs more
-            # than a step's bookkeeping
-            with np.errstate(over="ignore"):
-                r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
-            found = (r.x, r.bracket_width, r.iterations)
-        yield b, w, xa, c, found
-
-
-def _golden_sections(gen, b, w, xc, lo, tol):
-    """Golden-section searches on the objective, atom by atom: arrays of a', bracket width, iterations."""
-    runs = []
-    for s, n, low in zip(b.starts, b.sizes, lo):
-        wa, xca = w[s : s + n], xc[s : s + n]
-
-        def objective(t):
-            return t - float(wa @ np.asarray(gen.phi_star(t - xca), dtype=float))
-
-        runs.append(golden_section_max(objective, float(low), 0.0, xtol=tol))
-    return tuple(np.array(col) for col in zip(*((r.x, r.bracket_width, r.iterations) for r in runs)))
+        # a slope that overflows to +inf lies above 1, which bisection
+        # handles; one errstate per search, since entering it costs more
+        # than a step's bookkeeping
+        with np.errstate(over="ignore"):
+            r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
+        yield b, w, xa, c, (r.x, r.bracket_width, r.iterations)
 
 
 def _block_value(gen, b, w, xa, a) -> np.ndarray:

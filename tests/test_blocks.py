@@ -24,6 +24,7 @@ from condrisk import (
     RandomVariable,
     SolverError,
     atom_masses,
+    atom_min_operator,
     builtin_generator,
     check_density,
     check_measure,
@@ -241,6 +242,9 @@ def test_probspace_reductions_match_per_atom_loops(case):
     assert_close(atom_masses(space, g), per_atom(g, lambda i: p[i].sum()))
     assert_close(cond_expectation(space, g, x).values, per_atom(g, lambda i: p[i] @ xv[i] / p[i].sum()))
     assert_close(cond_sup_norm(space, g, x).values, per_atom(g, lambda i: np.abs(xv[i]).max()))
+    np.testing.assert_array_equal(
+        atom_min_operator(space, g).evaluate(x).values, per_atom(g, lambda i: xv[i].min())
+    )
     for q in (1.0, 2.5):
         ref = per_atom(g, lambda i: (p[i] @ np.abs(xv[i]) ** q / p[i].sum()) ** (1.0 / q))
         assert_close(cond_p_norm(space, g, x, q).values, ref)

@@ -124,7 +124,6 @@ class TestNumericConjugate:
 class TestGeneratorFromPhi:
     def test_synthesized_conjugate_matches_analytic(self):
         gen = generator_from_phi("kl-numeric", kl_phi, phi_prime=np.log)
-        assert not gen.has_closed_forms
         for m in np.linspace(-5.0, 5.0, 21):
             assert abs(float(gen.phi_star(m)) - math.expm1(m)) <= 1e-8
 
@@ -147,7 +146,11 @@ class TestValidateGenerator:
             validate_generator(builtin_generator(name))
 
     def test_numeric_wrapper_passes(self):
-        validate_generator(generator_from_phi("kl-numeric", kl_phi))
+        kl = builtin_generator("kl")
+        # phi_star' omitted: synthesized from phi as the argmax of m t - phi(t)
+        stripped = DivergenceGenerator(name="kl-stripped", phi=kl.phi, phi_star=kl.phi_star)
+        for gen in (generator_from_phi("kl-numeric", kl_phi), stripped):
+            validate_generator(gen)
 
     def test_rejects_wrong_normalization(self):
         bad = generator_from_phi("shifted", lambda t: (np.asarray(t) - 1.0) ** 2 + 0.1)

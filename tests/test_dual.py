@@ -128,14 +128,27 @@ class TestSolverContract:
                 expected[idx] = ex / float(w @ ex)
             np.testing.assert_allclose(sol.optimal_density.values, expected, rtol=0, atol=1e-8)
 
-    def test_requires_conjugate_derivative(self):
+    def test_synthesized_conjugate_derivative(self):
+        # a generator without phi_star' gets one synthesized from phi, so the
+        # dual solver and the gap run on it and agree with the analytic one
         kl = builtin_generator("kl")
         stripped = DivergenceGenerator(
             name="kl-stripped", phi=kl.phi, phi_star=kl.phi_star, phi_star_prime=None
         )
-        space = uniform_space(2)
-        with pytest.raises(ValueError, match="dual solver needs one"):
-            oce_dual(space, Partition.trivial(2), stripped, RandomVariable([0.0, 1.0]))
+        rng = np.random.default_rng(57)
+        instances = [random_instance(rng, max_states=6) for _ in range(5)]
+        # a payoff range past 27.6, where the synthesized exp(m) passes T_CAP
+        instances.append((uniform_space(2), Partition.trivial(2), RandomVariable([0.0, 100.0])))
+        for space, g, x in instances:
+            a = oce_dual(space, g, stripped, x, tol=1e-9)
+            b = oce_dual(space, g, kl, x)
+            np.testing.assert_allclose(a.value.values, b.value.values, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(
+                duality_gap(space, g, stripped, x).values,
+                duality_gap(space, g, kl, x).values,
+                rtol=0,
+                atol=1e-6,
+            )
 
     def test_invalid_conjugate_derivative_is_a_solver_error(self):
         kl = builtin_generator("kl")

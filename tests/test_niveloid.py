@@ -282,8 +282,6 @@ class TestPenalty:
         op = expectation_operator(space, g)
         with pytest.raises(ValueError, match="atom A0"):
             penalty(space, g, op, ConditionalDensity([2.0, 1.5]))
-        with pytest.raises(ValueError, match="ascent_iters"):
-            penalty(space, g, op, ConditionalDensity([1.0, 1.0]), ascent_iters=0)
 
 
 class TestAxiomChecker:

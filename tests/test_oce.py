@@ -111,18 +111,19 @@ class TestSolverContract:
             obj = a - float(w @ np.asarray(gen.phi_star(a - x.values[idx])))
             assert sol.value.values[i] == obj
 
-    def test_golden_fallback_without_conjugate_derivative(self):
+    def test_synthesized_conjugate_derivative(self):
         kl = builtin_generator("kl")
         stripped = DivergenceGenerator(
             name="kl-stripped",
             phi=kl.phi,
             phi_star=kl.phi_star,
             phi_star_prime=None,
-            has_closed_forms=False,
         )
         rng = np.random.default_rng(36)
-        for _ in range(5):
-            space, g, x = random_instance(rng, max_states=6)
+        instances = [random_instance(rng, max_states=6) for _ in range(5)]
+        # a payoff range past 27.6, where the synthesized exp(m) passes T_CAP
+        instances.append((uniform_space(2), Partition.trivial(2), RandomVariable([0.0, 100.0])))
+        for space, g, x in instances:
             a = oce_primal(space, g, stripped, x, tol=1e-9)
             b = oce_primal(space, g, kl, x)
             np.testing.assert_allclose(a.value.values, b.value.values, rtol=0, atol=1e-6)
