@@ -84,7 +84,7 @@ class DivergenceGenerator:
     ``phi``, ``phi_star`` and ``phi_star_prime`` accept scalars or numpy
     arrays.  ``phi_star_prime`` is the nondecreasing right derivative of the
     conjugate (equivalently the argmax t of m t - phi(t)); it is what the
-    certainty-equivalent solvers bisect on.  When it is omitted or None it is
+    certainty-equivalent solvers search on.  When it is omitted or None it is
     synthesized from phi as that argmax, found by direct maximization per
     argument, so every generator carries one.  ``phi_prime`` is the right
     derivative of phi on (0, inf) and may be None for generators defined

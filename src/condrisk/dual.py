@@ -47,7 +47,7 @@ class DualSolution:
     ``optimal_density`` is renormalized atom by atom so it satisfies the
     conditional mean-one constraint exactly; ``multiplier`` is the KKT
     multiplier, the primal maximizer itself.  ``residuals`` holds the final
-    bisection bracket widths.
+    search bracket widths.
     """
 
     value: ConditionalValue

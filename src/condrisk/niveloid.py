@@ -254,10 +254,10 @@ def penalty(
     ``PENALTY_XTOL`` by a bracketed golden-section search.  The result is a
     certified lower bound on the true penalty that is exact for
     coordinate-wise separable operators; sweeps stop early once a full pass
-    improves the objective by less than 1e-12.  Genuinely infinite
-    penalties (a density the operator does not price, as with a shifted
-    expectation and y != 1) saturate at ``CEILING`` instead of
-    diverging, so a huge returned value means "effectively +inf".
+    improves the objective by less than 1e-12.  A coordinate whose
+    objective still grows past ``CEILING`` makes the supremum +inf (a
+    density the operator does not price, as with a shifted expectation and
+    y != 1): that atom's penalty is ``inf`` and its ascent stops.
     """
     _check_pair(space, g)
     check_density(space, g, y)
@@ -281,16 +281,16 @@ def penalty(
                     trial[s] = c
                     return objective_at(trial)
 
-                lo, hi = z[s] - 1.0, z[s] + 1.0
                 try:
-                    lo, hi = expand_bracket_max(along, lo, hi, ceiling=CEILING)
+                    lo, hi = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
                 except UnboundedObjective:
-                    lo, hi = -CEILING, CEILING
+                    current = np.inf
+                    break
                 peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
                 if peak.value > current:
                     z[s] = peak.x
                     current = peak.value
-            if current - before <= 1e-12:
+            if current == np.inf or current - before <= 1e-12:
                 break
         out[i] = current
     return ConditionalValue(out)

@@ -8,12 +8,14 @@ optimized certainty equivalent of a position x on an atom A is
 maximized over scalars a (one per atom; jointly a G-measurable shift).  The
 objective is concave with nonincreasing derivative 1 - E[phi_star'(a - x)|A],
 and since phi_star' is nondecreasing with slope value 1 at the origin the
-maximizer always lies in [min_A x, max_A x].  The solver bisects on that
-derivative, all atoms of a partition block at once; every generator carries
-phi_star' (synthesized from phi when not given), so this bisection is the
-only search.  The maximizer is also the dual KKT multiplier, so it is the
-package's only multiplier solve: :func:`oce_primal` and
-:func:`condrisk.dual.oce_dual` both derive from it.
+maximizer always lies in [min_A x, max_A x].  The solver finds the root of
+that derivative with :func:`condrisk.scalar_opt.bisect_nondecreasing`, whose
+ITP rule (regula falsi, truncated and projected) never takes more than one
+step beyond bisection's ceil(log2(range / tol)), all atoms of a partition
+block at once.  Every generator carries phi_star' (synthesized from phi
+when not given), so this search is the only one.  The maximizer is also the
+dual KKT multiplier, so it is the package's only multiplier solve:
+:func:`oce_primal` and :func:`condrisk.dual.oce_dual` both derive from it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _atom_searches(space, g, gen, x, tol):
     By cash additivity that is the same problem, but float spacing near a'
     scales with |a'| instead of |max_A x|: a root just below a large max_A x
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
-    of a block are bisected together, with one phi_star' call over the
+    of a block are searched together, with one phi_star' call over the
     block's states per step; each atom takes the steps its own scalar search
     would.  Yields, per block, the block, its conditional weights w and
     payoffs (block-ordered), c, and the arrays (a', bracket width,
@@ -89,7 +91,7 @@ def _atom_searches(space, g, gen, x, tol):
             y = np.asarray(gen.phi_star_prime(b.spread(t) - xc), dtype=float)
             return b.dot(w, y) - 1.0
 
-        # a slope that overflows to +inf lies above 1, which bisection
+        # a slope that overflows to +inf lies above 1, which the search
         # handles; one errstate per search, since entering it costs more
         # than a step's bookkeeping
         with np.errstate(over="ignore"):
@@ -128,7 +130,7 @@ def oce_primal(
     """Maximize a - E[phi_star(a - x) | G] atom by atom.
 
     The per-atom problems are independent (the computation is local to each
-    atom); the atoms of a block are bisected together, each by
+    atom); the atoms of a block are searched together, each by
     the same steps as alone, so the result does not depend on how atoms are
     grouped beyond the rounding of the per-atom sums.
     """

@@ -54,14 +54,15 @@ PROB_SUM_TOL = 1e-12
 BLOCK_STATES = 1 << 14
 
 
-def _as_float_vector(values, what: str) -> np.ndarray:
+def _as_float_vector(values, what: str, plus_inf: bool = False) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a one-dimensional vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite, got {arr!r}")
+    if not np.all(np.isfinite(arr)) and not (plus_inf and np.all(arr > -np.inf)):
+        allowed = "finite or +inf" if plus_inf else "finite"
+        raise ValueError(f"{what} must be {allowed}, got {arr!r}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -302,12 +303,16 @@ class RandomVariable(_VectorBase):
 
 @dataclass(frozen=True, eq=False)
 class ConditionalValue(_VectorBase):
-    """G-measurable quantity, stored as an atom-indexed vector."""
+    """G-measurable quantity, stored as an atom-indexed vector.
+
+    Entries are finite or +inf (a penalty the operator does not price).
+    """
 
     values: np.ndarray
 
     def __init__(self, values):
-        object.__setattr__(self, "values", _as_float_vector(values, "conditional value"))
+        values = _as_float_vector(values, "conditional value", plus_inf=True)
+        object.__setattr__(self, "values", values)
 
 
 def _check_pair(space: FiniteProbabilitySpace, g: Partition) -> None:

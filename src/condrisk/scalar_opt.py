@@ -3,9 +3,12 @@
 Two workhorses cover everything this package optimizes:
 
 * :func:`bisect_nondecreasing` finds the root of a monotone scalar function,
-  or of many independent ones at once, one bracket each.  All first-order
-  conditions in this package reduce to such a root because the objectives
-  are concave with monotone derivatives.
+  or of many independent ones at once, one bracket each, by the ITP rule
+  (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi step
+  truncated towards the midpoint and projected so that no bracket takes
+  more than ``ITP_N0`` (one) step beyond bisection's ceil(log2(w0/xtol)).
+  All first-order conditions in this package reduce to such a root because
+  the objectives are concave with monotone derivatives.
 * :func:`golden_section_max` maximizes a concave (or unimodal) function on a
   closed interval without derivatives, with :func:`expand_bracket_max`
   growing the interval first when no a-priori bracket is known.
@@ -80,9 +83,12 @@ def bisect_nondecreasing(
 ) -> RootResult:
     """Root of a nondecreasing function with f(lo) <= 0 <= f(hi).
 
-    Bisection runs until the bracket is narrower than ``xtol`` and, when
-    ``ftol`` is given, the midpoint residual |f| is below it too; it stops
-    early once the midpoint can no longer be resolved in floating point.
+    The bracket shrinks by ITP steps (see the comment above the step loops)
+    until it is narrower than ``xtol`` and, when ``ftol`` is given, the
+    residual |f| at the last point is below it too; it stops early once
+    the midpoint can no longer be resolved in floating point.  With
+    ``ftol=None`` no bracket takes more than ceil(log2((hi - lo) / xtol)) +
+    ``ITP_N0`` steps.
     A sign pattern incompatible with a nondecreasing function raises
     :class:`SolverError`, since it means the supplied function violates the
     monotonicity this method relies on.  A value of +inf counts as above the
@@ -155,34 +161,98 @@ def bisect_nondecreasing(
     return RootResult(x, fx, width, iterations, converged)
 
 
-# The two step loops apply the same rule to each bracket and update lo, hi,
-# flo and fhi in place; they return the number of steps per bracket.
+# The two step loops apply the same rule to each bracket, with the same float
+# operations in the same order, and update lo, hi, flo and fhi in place; they
+# return the number of steps per bracket.
+#
+# The rule is ITP (interpolate, truncate, project; Oliveira & Takahashi,
+# ACM TOMS 47(1), 2020).  The regula falsi point is moved towards the
+# midpoint by kappa_1 * w**2, with kappa_1 = ITP_KAPPA1 / w0 and kappa_2 = 2,
+# then clipped to within eps * 2**(n_max - j) - w/2 of the midpoint, where
+# n_max = ceil(log2(w0/xtol)) + ITP_N0 and j counts the steps taken.  The
+# clip keeps the width after j steps within eps * 2**(n_max - j + 1), so no
+# bracket takes more than n_max steps, ITP_N0 more than bisection, to get
+# below xtol, while smooth slopes stop after a handful.  eps is xtol/2 less
+# two units in the last place of the bracket's larger end, so that rounding
+# the points cannot leave the last width a hair above xtol.  Where the point
+# is not strictly inside the bracket, or f(hi) is +inf (an overflowed
+# slope), the step is the midpoint.
+#
+# The truncation is at least eps/2 upwards and eps/4 downwards.  Near the
+# root the regula falsi point lands within rounding of it, where the sign of
+# f is noise (or f is exactly 0 and the next regula falsi point is lo
+# itself); the floor steps past the root by a margin instead, so the bracket
+# closes below xtol and the steps taken do not depend on how f rounds.  The
+# two floors differ so that a bracket closed by an overshoot from each side
+# keeps ends whose residuals differ by about 2x, and the end reported does
+# not hinge on rounding either.
+ITP_KAPPA1 = 0.2
+ITP_N0 = 1
+
+
+def _itp_budget(w0, xtol):
+    """n_max = ceil(log2(w0 / xtol)) + ITP_N0 per bracket, from the exact binary exponent."""
+    m, e = np.frexp(w0 / xtol if xtol > 0.0 else np.zeros_like(w0))
+    return np.maximum(e - (m == 0.5), 0) + ITP_N0
 
 
 def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
-    """Bisect every active bracket at once; a stopped bracket stays frozen."""
+    """Step every active bracket at once; a stopped bracket stays frozen.
+
+    The loop keeps only the brackets still stepping, compacted as others
+    stop, so a few slow brackets cost one evaluation of ``f`` per step but
+    little arithmetic.  A stopped bracket is passed the last point ``f`` was
+    evaluated at for it (its ``lo`` if it never stepped).
+    """
     iterations = np.zeros(lo.shape, dtype=int)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        active &= (lo < mid) & (mid < hi)  # exhausted at floating point resolution
-        if not active.any():
+    ix = np.flatnonzero(active)
+    a, b, fa, fb = lo[ix], hi[ix], flo[ix], fhi[ix]
+    k1 = ITP_KAPPA1 / (b - a)
+    n_max = _itp_budget(b - a, xtol)
+    eps = 0.5 * (xtol - 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    points = lo.copy()
+
+    def retire(stop, steps):
+        nonlocal ix, a, b, fa, fb, k1, n_max, eps
+        i = ix[stop]
+        lo[i], hi[i], flo[i], fhi[i], iterations[i] = a[stop], b[stop], fa[stop], fb[stop], steps
+        keep = ~stop
+        ix, a, b, fa, fb, k1, n_max, eps = (
+            v[keep] for v in (ix, a, b, fa, fb, k1, n_max, eps)
+        )
+
+    for j in range(max_iter):
+        mid = 0.5 * (a + b)
+        split = (a < mid) & (mid < b)  # else exhausted at floating point resolution
+        if not split.all():
+            retire(~split, j)
+            mid = mid[split]
+        if not ix.size:
             break
-        fmid = value(mid)
-        iterations += active
-        bad = active & ~(fmid > -np.inf)  # NaN or -inf
+        w = b - a
+        x = a + w * (fa / (fa - fb))  # regula falsi
+        d = mid - x
+        delta = np.maximum(k1 * w * w, np.where(d > 0.0, 0.5 * eps, 0.25 * eps))
+        x = np.where(delta <= np.abs(d), x + np.copysign(delta, d), mid)
+        r = np.maximum(np.ldexp(eps, n_max - j) - 0.5 * w, 0.0)
+        x = np.where(np.abs(x - mid) <= r, x, mid - np.copysign(r, d))
+        x = np.where((a < x) & (x < b) & (fb < math.inf), x, mid)
+        points[ix] = x
+        fx = value(points)[ix]
+        bad = ~(fx > -np.inf)  # NaN or -inf
         if bad.any():
             i = int(np.argmax(bad))
-            raise SolverError(f"non-finite value f({mid[i]})={fmid[i]} during bisection")
-        left = active & (fmid <= 0.0)
-        right = active ^ left
-        np.copyto(lo, mid, where=left)
-        np.copyto(flo, fmid, where=left)
-        np.copyto(hi, mid, where=right)
-        np.copyto(fhi, fmid, where=right)
-        done = hi - lo <= xtol
+            raise SolverError(f"non-finite value f({x[i]})={fx[i]} during bisection")
+        left = fx <= 0.0
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        done = b - a <= xtol
         if ftol is not None:
-            done &= np.abs(fmid) <= ftol
-        active &= ~done
+            done &= np.abs(fx) <= ftol
+        if done.any():
+            retire(done, j + 1)
+    else:
+        retire(np.ones(ix.size, dtype=bool), max_iter)
     return iterations
 
 
@@ -194,19 +264,33 @@ def _steps_one(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
     """
     a, b, fa, fb = float(lo[0]), float(hi[0]), float(flo[0]), float(fhi[0])
     iterations = 0
+    if active[0]:
+        k1 = ITP_KAPPA1 / (b - a)
+        n_max = int(_itp_budget(hi - lo, xtol)[0])
+        eps = 0.5 * (xtol - 4.0 * math.ulp(max(abs(a), abs(b))))
     while active[0] and iterations < max_iter:
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             break
-        fmid = float(value(np.array([mid]))[0])
+        w = b - a
+        x = a + w * (fa / (fa - fb))  # regula falsi
+        d = mid - x
+        delta = max(k1 * w * w, 0.5 * eps if d > 0.0 else 0.25 * eps)
+        x = x + math.copysign(delta, d) if delta <= abs(d) else mid
+        r = max(math.ldexp(eps, n_max - iterations) - 0.5 * w, 0.0)
+        if not abs(x - mid) <= r:
+            x = mid - math.copysign(r, d)
+        if not (a < x < b and fb < math.inf):
+            x = mid
+        fx = float(value(np.array([x]))[0])
         iterations += 1
-        if not fmid > -math.inf:
-            raise SolverError(f"non-finite value f({mid})={fmid} during bisection")
-        if fmid <= 0.0:
-            a, fa = mid, fmid
+        if not fx > -math.inf:
+            raise SolverError(f"non-finite value f({x})={fx} during bisection")
+        if fx <= 0.0:
+            a, fa = x, fx
         else:
-            b, fb = mid, fmid
-        if b - a <= xtol and (ftol is None or abs(fmid) <= ftol):
+            b, fb = x, fx
+        if b - a <= xtol and (ftol is None or abs(fx) <= ftol):
             break
     lo[0], hi[0], flo[0], fhi[0] = a, b, fa, fb
     return np.array([iterations])

@@ -244,13 +244,12 @@ class TestPenalty:
             np.testing.assert_allclose(out.values, 0.0, rtol=0, atol=1e-6)
 
     def test_unpriced_density_saturates_huge(self):
-        # a shifted expectation prices only y = 1; anything else is +inf,
-        # reported as a ceiling-scale value
+        # a shifted expectation prices only y = 1; anything else is +inf
         space = uniform_space(2)
         g = Partition.trivial(2)
         y = ConditionalDensity([1.5, 0.5])
         out = penalty(space, g, expectation_operator(space, g), y)
-        assert out.values[0] > 1e3
+        assert np.isinf(out.values[0]) and out.values[0] > 0
 
     def test_base_functional_penalty_is_the_divergence(self):
         # the objective is coordinatewise separable for the base functional,
