@@ -251,13 +251,17 @@ def penalty(
 
     Computed by cyclic coordinate ascent over the states of each atom, at
     most ``PENALTY_SWEEPS`` sweeps, each coordinate maximized to
-    ``PENALTY_XTOL`` by a bracketed golden-section search.  The result is a
-    certified lower bound on the true penalty that is exact for
+    ``PENALTY_XTOL`` by a bracketed golden-section search.  A finite
+    result is a lower bound on the true penalty that is exact for
     coordinate-wise separable operators; sweeps stop early once a full pass
-    improves the objective by less than 1e-12.  A coordinate whose
-    objective still grows past ``CEILING`` makes the supremum +inf (a
-    density the operator does not price, as with a shifted expectation and
-    y != 1): that atom's penalty is ``inf`` and its ascent stops.
+    improves the objective by less than 1e-12.  An atom is ``inf`` once a
+    coordinate's objective still grows past ``CEILING`` (see
+    :func:`condrisk.scalar_opt.expand_bracket_max`), and its ascent stops
+    there.  That is how a density the operator does not price shows, as
+    with a shifted expectation and y != 1, where the objective grows
+    linearly.  It is a reading of growth, not a proof of divergence: an
+    objective that approaches a finite supremum as slowly as 1/c still
+    improves at ``CEILING`` and reads ``inf`` too.
     """
     _check_pair(space, g)
     check_density(space, g, y)
@@ -293,7 +297,7 @@ def penalty(
             if current == np.inf or current - before <= 1e-12:
                 break
         out[i] = current
-    return ConditionalValue(out)
+    return ConditionalValue.unbounded(out)
 
 
 # ---------------------------------------------------------------------------

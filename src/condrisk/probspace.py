@@ -303,16 +303,24 @@ class RandomVariable(_VectorBase):
 
 @dataclass(frozen=True, eq=False)
 class ConditionalValue(_VectorBase):
-    """G-measurable quantity, stored as an atom-indexed vector.
+    """G-measurable quantity, stored as an atom-indexed vector of finite entries.
 
-    Entries are finite or +inf (a penalty the operator does not price).
+    Only :meth:`unbounded` admits +inf entries, for a supremum that diverges
+    on some atoms; arithmetic on such a value builds an ordinary one, which
+    rejects them again.
     """
 
     values: np.ndarray
 
     def __init__(self, values):
-        values = _as_float_vector(values, "conditional value", plus_inf=True)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _as_float_vector(values, "conditional value"))
+
+    @classmethod
+    def unbounded(cls, values) -> "ConditionalValue":
+        """A conditional value whose entries are finite or +inf."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "values", _as_float_vector(values, "conditional value", plus_inf=True))
+        return out
 
 
 def _check_pair(space: FiniteProbabilitySpace, g: Partition) -> None:

@@ -197,62 +197,44 @@ def _itp_budget(w0, xtol):
 
 
 def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
-    """Step every active bracket at once; a stopped bracket stays frozen.
-
-    The loop keeps only the brackets still stepping, compacted as others
-    stop, so a few slow brackets cost one evaluation of ``f`` per step but
-    little arithmetic.  A stopped bracket is passed the last point ``f`` was
-    evaluated at for it (its ``lo`` if it never stepped).
-    """
+    """Step every active bracket at once; a stopped bracket stays frozen."""
     iterations = np.zeros(lo.shape, dtype=int)
-    ix = np.flatnonzero(active)
-    a, b, fa, fb = lo[ix], hi[ix], flo[ix], fhi[ix]
-    k1 = ITP_KAPPA1 / (b - a)
-    n_max = _itp_budget(b - a, xtol)
-    eps = 0.5 * (xtol - 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-    points = lo.copy()
-
-    def retire(stop, steps):
-        nonlocal ix, a, b, fa, fb, k1, n_max, eps
-        i = ix[stop]
-        lo[i], hi[i], flo[i], fhi[i], iterations[i] = a[stop], b[stop], fa[stop], fb[stop], steps
-        keep = ~stop
-        ix, a, b, fa, fb, k1, n_max, eps = (
-            v[keep] for v in (ix, a, b, fa, fb, k1, n_max, eps)
-        )
-
+    n_max = _itp_budget(hi - lo, xtol)
+    eps = 0.5 * (xtol - 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    # a frozen bracket may be degenerate (lo == hi, flo == fhi); its point is
+    # NaN until the midpoint replaces it, so its 0/0 is silenced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1 = ITP_KAPPA1 / (hi - lo)
     for j in range(max_iter):
-        mid = 0.5 * (a + b)
-        split = (a < mid) & (mid < b)  # else exhausted at floating point resolution
-        if not split.all():
-            retire(~split, j)
-            mid = mid[split]
-        if not ix.size:
+        mid = 0.5 * (lo + hi)
+        active &= (lo < mid) & (mid < hi)  # exhausted at floating point resolution
+        if not active.any():
             break
-        w = b - a
-        x = a + w * (fa / (fa - fb))  # regula falsi
-        d = mid - x
-        delta = np.maximum(k1 * w * w, np.where(d > 0.0, 0.5 * eps, 0.25 * eps))
-        x = np.where(delta <= np.abs(d), x + np.copysign(delta, d), mid)
-        r = np.maximum(np.ldexp(eps, n_max - j) - 0.5 * w, 0.0)
-        x = np.where(np.abs(x - mid) <= r, x, mid - np.copysign(r, d))
-        x = np.where((a < x) & (x < b) & (fb < math.inf), x, mid)
-        points[ix] = x
-        fx = value(points)[ix]
-        bad = ~(fx > -np.inf)  # NaN or -inf
+        w = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo + w * (flo / (flo - fhi))  # regula falsi
+            d = mid - x
+            delta = np.maximum(k1 * w * w, np.where(d > 0.0, 0.5 * eps, 0.25 * eps))
+            x = np.where(delta <= np.abs(d), x + np.copysign(delta, d), mid)
+            r = np.maximum(np.ldexp(eps, n_max - j) - 0.5 * w, 0.0)
+            x = np.where(np.abs(x - mid) <= r, x, mid - np.copysign(r, d))
+        x = np.where(active & (lo < x) & (x < hi) & (fhi < math.inf), x, mid)
+        fx = value(x)
+        iterations += active
+        bad = active & ~(fx > -np.inf)  # NaN or -inf
         if bad.any():
             i = int(np.argmax(bad))
             raise SolverError(f"non-finite value f({x[i]})={fx[i]} during bisection")
-        left = fx <= 0.0
-        a, fa = np.where(left, x, a), np.where(left, fx, fa)
-        b, fb = np.where(left, b, x), np.where(left, fb, fx)
-        done = b - a <= xtol
+        left = active & (fx <= 0.0)
+        right = active ^ left
+        np.copyto(lo, x, where=left)
+        np.copyto(flo, fx, where=left)
+        np.copyto(hi, x, where=right)
+        np.copyto(fhi, fx, where=right)
+        done = hi - lo <= xtol
         if ftol is not None:
             done &= np.abs(fx) <= ftol
-        if done.any():
-            retire(done, j + 1)
-    else:
-        retire(np.ones(ix.size, dtype=bool), max_iter)
+        active &= ~done
     return iterations
 
 

@@ -251,6 +251,23 @@ class TestPenalty:
         out = penalty(space, g, expectation_operator(space, g), y)
         assert np.isinf(out.values[0]) and out.values[0] > 0
 
+    def test_only_the_penalty_admits_inf(self):
+        # +inf is the penalty's own reading of divergence; an operator whose
+        # finite value overflows is refused, as is arithmetic that keeps inf
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        huge = RandomVariable([1e200, 1e200])
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            squared_expectation_operator(space, g).evaluate(huge)
+        with pytest.raises(ValueError, match="finite"):
+            ConditionalValue([np.inf])
+        out = penalty(space, g, expectation_operator(space, g), ConditionalDensity([1.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            out + 1.0
+        np.testing.assert_array_equal(ConditionalValue.unbounded([np.inf, 1.0]).values, [np.inf, 1.0])
+        with pytest.raises(ValueError, match="finite or \\+inf"):
+            ConditionalValue.unbounded([-np.inf])
+
     def test_base_functional_penalty_is_the_divergence(self):
         # the objective is coordinatewise separable for the base functional,
         # so the ascent is exact and recovers the conditional divergence
