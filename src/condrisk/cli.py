@@ -19,8 +19,9 @@ named operator).
 Exit codes: 0 success, 2 input or usage errors, 3 a solver missed its
 tolerance, 4 the duality gap exceeded its threshold.  Reports go to stdout
 as an aligned table, JSON, or CSV; identical invocations produce
-byte-identical output.  The ``CONDRISK_TOL`` environment variable replaces
-the default ``--tol`` when the flag is not given.
+byte-identical output.  Each command takes only the options it reads (see
+``COMMANDS``); ``oce``, ``dual`` and ``gap`` read ``--tol``, whose default the
+``CONDRISK_TOL`` environment variable replaces when the flag is not given.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -130,7 +132,7 @@ def parse_scenario(raw) -> Scenario:
             raise ScenarioError(f"atoms[{pos}] must be a nonempty list of state names")
         members = []
         for member in atom:
-            if member not in index:
+            if not isinstance(member, str) or member not in index:
                 raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
             members.append(index[member])
         atoms.append(members)
@@ -235,43 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Conditional divergence risk measures on finite probability spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, position=True, divergence=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("file", help="scenario JSON file")
-        if position:
-            p.add_argument("--position", required=True, help="position label from the scenario")
-        if divergence:
-            p.add_argument(
-                "--divergence",
-                default="kl",
-                help="divergence generator: kl, chi2, or power:<alpha> (default kl)",
-            )
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument(
-            "--format", choices=("table", "json", "csv"), default="table", help="output format"
-        )
-        p.add_argument(
-            "--echo-input",
-            action="store_true",
-            help="embed the input scenario in the report (JSON format only)",
-        )
-
-    common(sub.add_parser("oce", help="primal optimized certainty equivalent per atom"))
-    common(sub.add_parser("dual", help="dual (penalized expectation) value per atom"))
-    common(sub.add_parser("gap", help="duality gap self-check per atom"))
-    common(sub.add_parser("entropic", help="entropic risk per atom"), divergence=False)
-    p_div = sub.add_parser("divergence", help="conditional divergence of a measure per atom")
-    common(p_div, position=False)
-    p_div.add_argument(
-        "--measure", required=True, help="positions-style label holding the measure weights"
-    )
-    p_check = sub.add_parser("check", help="sample niveloid axioms for an operator")
-    common(p_check, position=False, divergence=False)
-    p_check.add_argument(
-        "--operator", required=True, help=f"operator to test: {OPERATOR_NAMES}"
-    )
-    p_check.add_argument("--samples", type=int, default=50, help="sample count (default 50)")
-    p_check.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+        for option, spec in OPTIONS.items():
+            if option in command.options + COMMON_OPTIONS:
+                p.add_argument(f"--{option}", **spec)
     return parser
 
 
@@ -303,7 +274,8 @@ def main(argv=None) -> int:
         if args.echo_input and args.format != "json":
             raise ScenarioError("--echo-input requires --format json")
         scenario = load_scenario(args.file)
-        rows, code = _dispatch(args, scenario)
+        command = COMMANDS[args.command]
+        rows, code = command.rows(args, scenario, command)
     except (ScenarioError, ValueError) as e:
         print(f"condrisk: error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -331,81 +303,108 @@ def _solve_gap(space, g, gen, x, threshold):
     return gaps, np.full(g.num_atoms, threshold), sol
 
 
-# command -> (solve, default tolerance, note label, exit rule); the exit rule
-# names the column held to the tolerance and the code returned when a row
-# exceeds it
-SOLVE_COMMANDS = {
-    "oce": (_solve_oce, DEFAULT_SOLVER_TOL, "optimal_a", ("residual", EXIT_RESIDUAL)),
-    "dual": (_solve_dual, DEFAULT_SOLVER_TOL, "multiplier", ("residual", EXIT_RESIDUAL)),
-    "gap": (_solve_gap, DEFAULT_GAP_TOL, "threshold", ("value", EXIT_GAP)),
+def _atom_rows(args, scenario: Scenario, command):
+    """One row per atom: its value, the residual and iterations of its search
+    (0.0 and 0 for a closed form) and the figure noted beside the value."""
+    gen = builtin_generator(args.divergence) if "divergence" in command.options else None
+    if "measure" in command.options:
+        weights = _get_position(scenario, args.measure).values
+        try:
+            x = EquivalentConditionalMeasure(weights)
+        except ValueError as e:
+            raise ScenarioError(f"measure {args.measure!r}: {e}") from None
+    else:
+        x = _get_position(scenario, args.position)
+    tol = _resolve_tol(args, command.tol) if "tol" in command.options else None
+    values, noted, sol = command.solve(scenario.space, scenario.partition, gen, x, tol)
+    quantity = args.command if gen is None else f"{args.command}:{gen.name}"
+    zeros = np.zeros(len(values))
+    residuals, iterations = (zeros, zeros) if sol is None else (sol.residuals, sol.iterations)
+    rows = [
+        _row(_atom_label(i), quantity, v, residuals[i], iterations[i],
+             note=f"{command.note}={float(noted[i])!r}" if command.note else "")
+        for i, v in enumerate(values)
+    ]
+    if tol is None:
+        return rows, EXIT_OK
+    held, exit_code = command.held
+    return rows, exit_code if any(row[held] > tol for row in rows) else EXIT_OK
+
+
+def _check_rows(args, scenario: Scenario, command):
+    """One row per sampled niveloid axiom, with a counterexample where it fails."""
+    op = _operator_from_name(args.operator, scenario)
+    if args.samples < 1:
+        raise ScenarioError(f"--samples must be at least 1, got {args.samples}")
+    report = check_niveloid_axioms(
+        scenario.space, scenario.partition, op, samples=args.samples, seed=args.seed
+    )
+    rows = []
+    for c in report.checks:
+        note = "pass" if c.passed else "fail"
+        row = _row("*", f"axiom:{c.name}", c.max_violation, 0.0, args.samples, note=note)
+        if c.counterexample is not None:
+            row["counterexample"] = c.counterexample
+        rows.append(row)
+    return rows, EXIT_OK
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help, the options it reads besides ``file`` and
+    ``COMMON_OPTIONS``, and ``rows(args, scenario, command)`` -> (rows, exit code).
+
+    A per-atom command's ``solve(space, partition, generator, x, tol)`` gives
+    the values, the figures noted as ``<note>=`` and the solution holding
+    residuals and iterations (None for a closed form).  A command reading
+    ``--tol`` defaults it to ``tol``, and a row whose ``held`` column exceeds
+    it gives that rule's exit code.
+    """
+
+    help: str
+    options: tuple
+    solve: Optional[Callable] = None
+    note: str = ""
+    tol: Optional[float] = None
+    held: tuple = ("residual", EXIT_RESIDUAL)
+    rows: Callable = _atom_rows
+
+
+SEARCH_OPTIONS = ("position", "divergence", "tol")
+COMMANDS = {
+    "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS, _solve_oce,
+                   note="optimal_a", tol=DEFAULT_SOLVER_TOL),
+    "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS, _solve_dual,
+                    note="multiplier", tol=DEFAULT_SOLVER_TOL),
+    "gap": Command("duality gap self-check per atom", SEARCH_OPTIONS, _solve_gap,
+                   note="threshold", tol=DEFAULT_GAP_TOL, held=("value", EXIT_GAP)),
+    "entropic": Command(
+        "entropic risk per atom", ("position",),
+        lambda space, g, gen, x, tol: (entropic_risk(space, g, x).values, None, None)),
+    "divergence": Command(
+        "conditional divergence of a measure per atom", ("divergence", "measure"),
+        lambda space, g, gen, nu, tol: (cond_divergence(space, g, gen, nu).values, None, None)),
+    "check": Command("sample niveloid axioms for an operator", ("operator", "samples", "seed"),
+                     rows=_check_rows),
 }
 
-
-def _dispatch(args, scenario: Scenario):
-    space, g = scenario.space, scenario.partition
-    command = args.command
-
-    if command in SOLVE_COMMANDS:
-        solve, default_tol, note, (held, exit_code) = SOLVE_COMMANDS[command]
-        gen = builtin_generator(args.divergence)
-        x = _get_position(scenario, args.position)
-        tol = _resolve_tol(args, default_tol)
-        values, noted, sol = solve(space, g, gen, x, tol)
-        rows = [
-            _row(
-                _atom_label(i),
-                f"{command}:{gen.name}",
-                values[i],
-                sol.residuals[i],
-                sol.iterations[i],
-                note=f"{note}={float(noted[i])!r}",
-            )
-            for i in range(g.num_atoms)
-        ]
-        return rows, exit_code if any(row[held] > tol for row in rows) else EXIT_OK
-
-    if command == "entropic":
-        x = _get_position(scenario, args.position)
-        value = entropic_risk(space, g, x)
-        rows = [
-            _row(_atom_label(i), "entropic", value.values[i], 0.0, 0)
-            for i in range(g.num_atoms)
-        ]
-        return rows, EXIT_OK
-
-    if command == "divergence":
-        gen = builtin_generator(args.divergence)
-        weights = _get_position_like_measure(scenario, args.measure)
-        value = cond_divergence(space, g, gen, weights)
-        rows = [
-            _row(_atom_label(i), f"divergence:{gen.name}", value.values[i], 0.0, 0)
-            for i in range(g.num_atoms)
-        ]
-        return rows, EXIT_OK
-
-    if command == "check":
-        op = _operator_from_name(args.operator, scenario)
-        if args.samples < 1:
-            raise ScenarioError(f"--samples must be at least 1, got {args.samples}")
-        report = check_niveloid_axioms(space, g, op, samples=args.samples, seed=args.seed)
-        rows = []
-        for c in report.checks:
-            note = "pass" if c.passed else "fail"
-            row = _row("*", f"axiom:{c.name}", c.max_violation, 0.0, args.samples, note=note)
-            if c.counterexample is not None:
-                row["counterexample"] = c.counterexample
-            rows.append(row)
-        return rows, EXIT_OK
-
-    raise ScenarioError(f"unknown command {command!r}")
-
-
-def _get_position_like_measure(scenario: Scenario, label: str) -> EquivalentConditionalMeasure:
-    rv = _get_position(scenario, label)
-    try:
-        return EquivalentConditionalMeasure(rv.values)
-    except ValueError as e:
-        raise ScenarioError(f"measure {label!r}: {e}") from None
+# every option a command may read, in the order its --help lists them
+OPTIONS = {
+    "position": dict(required=True, help="position label from the scenario"),
+    "divergence": dict(
+        default="kl", help="divergence generator: kl, chi2, or power:<alpha> (default kl)"
+    ),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "format": dict(choices=("table", "json", "csv"), default="table", help="output format"),
+    "echo-input": dict(
+        action="store_true", help="embed the input scenario in the report (JSON format only)"
+    ),
+    "measure": dict(required=True, help="positions-style label holding the measure weights"),
+    "operator": dict(required=True, help=f"operator to test: {OPERATOR_NAMES}"),
+    "samples": dict(type=int, default=50, help="sample count (default 50)"),
+    "seed": dict(type=int, default=0, help="sampling seed (default 0)"),
+}
+COMMON_OPTIONS = ("format", "echo-input")
 
 
 if __name__ == "__main__":

@@ -102,12 +102,10 @@ def _atom_searches(space, g, gen, x, tol):
 def _block_value(gen, b, w, xa, a) -> np.ndarray:
     """The primal objective a - E[phi_star(a - x) | A] at one shift per atom of a block.
 
-    phi_star is evaluated once over the block; each atom's expectation is a
-    dot over its own contiguous slice, the arithmetic of evaluating the
-    objective on that atom alone.
+    phi_star is evaluated once over the block and averaged by the block's
+    segmented dot, the reduction of every other conditional expectation.
     """
-    star = np.asarray(gen.phi_star(b.spread(a) - xa), dtype=float)
-    return a - np.array([w[s : s + n] @ star[s : s + n] for s, n in zip(b.starts, b.sizes)])
+    return a - b.dot(w, np.asarray(gen.phi_star(b.spread(a) - xa), dtype=float))
 
 
 def _oce_value(space, g, gen, x, a) -> np.ndarray:

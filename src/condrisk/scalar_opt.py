@@ -284,7 +284,6 @@ def golden_section_max(
     hi: float,
     *,
     xtol: float,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> MaxResult:
     """Derivative-free maximization of a unimodal function on [lo, hi].
 
@@ -306,7 +305,7 @@ def golden_section_max(
     fc = f(c)
     fd = f(d)
     iterations = 0
-    while h > xtol and iterations < max_iter:
+    while h > xtol and iterations < DEFAULT_MAX_ITER:
         if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -330,12 +329,11 @@ def expand_bracket_max(
     hi: float,
     *,
     ceiling: float,
-    grow: float = 2.0,
     min_lo: Optional[float] = None,
 ) -> tuple:
     """Grow [lo, hi] until a concave objective has an interior maximum.
 
-    Each side is pushed outward (step doubling by default) while the end
+    Each side is pushed outward, its step doubling each time, while the end
     value keeps strictly improving on the interior probe; sustained growth
     past ``ceiling`` raises :class:`UnboundedObjective`, which callers
     interpret as a divergent supremum.  ``min_lo`` is a hard domain wall:
@@ -358,7 +356,7 @@ def expand_bracket_max(
     while improving(fhi, fmid):
         lo, flo = mid, fmid
         mid, fmid = hi, fhi
-        step *= grow
+        step *= 2.0
         hi = hi + step
         if abs(hi) > ceiling:
             raise UnboundedObjective(
@@ -369,7 +367,7 @@ def expand_bracket_max(
     while improving(flo, fmid):
         hi, fhi = mid, fmid
         mid, fmid = lo, flo
-        step *= grow
+        step *= 2.0
         new_lo = lo - step
         if min_lo is not None:
             if lo <= min_lo:

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +44,22 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# one invocation per command; the scenario file goes after the command name
+COMMAND_ARGS = {
+    "oce": ["--position", "payoff"],
+    "dual": ["--position", "book", "--divergence", "chi2"],
+    "gap": ["--position", "payoff", "--divergence", "power:3"],
+    "entropic": ["--position", "book"],
+    "divergence": ["--measure", "tilt", "--divergence", "power:2"],
+    "check": ["--operator", "sq-expectation", "--samples", "20"],
+}
+EXPECTED_DIR = Path(__file__).parent / "cli_expected"
+
+
+def command_argv(command, scenario_file):
+    return [command, scenario_file] + COMMAND_ARGS[command]
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +251,44 @@ class TestDeterminism:
         assert first == second
         assert first  # not vacuous
 
-    def test_installed_entry_point_matches_in_process(self, capsys, scenario_file):
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_installed_entry_point_matches_in_process(self, capsys, scenario_file, command):
         exe = shutil.which("condrisk")
         if exe is None:
             pytest.skip("console script not on PATH")
-        argv = ["oce", scenario_file, "--position", "payoff", "--format", "json"]
+        argv = command_argv(command, scenario_file) + ["--format", "json"]
         _, in_process, _ = run_cli(capsys, argv)
         proc = subprocess.run([exe] + argv, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == in_process
+
+
+class TestPinnedOutput:
+    """Every byte of each command's report; a deliberate change to a report updates its file."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_report_bytes(self, capsys, scenario_file, command, fmt):
+        code, out, err = run_cli(capsys, command_argv(command, scenario_file) + ["--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == (EXPECTED_DIR / f"{command}.{fmt}").read_text(encoding="utf-8")
+
+
+class TestOptionsFollowTheTable:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_lists_exactly_the_entry_options(self, capsys, command):
+        code, out, _ = run_cli(capsys, [command, "--help"])
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        entry = cli.COMMANDS[command].options + cli.COMMON_OPTIONS
+        assert listed == {"--help"} | {f"--{option}" for option in entry}
+
+    @pytest.mark.parametrize("command", ["entropic", "divergence", "check"])
+    def test_tol_is_a_usage_error_where_unread(self, capsys, scenario_file, command):
+        code, out, err = run_cli(capsys, command_argv(command, scenario_file) + ["--tol", "1e-3"])
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +409,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["oce", str(path), "--position", "x"])
         assert code == 2
         assert "bad atoms" in err
+
+    @pytest.mark.parametrize("member", [["a"], {"name": "a"}])
+    def test_atom_member_that_is_not_a_name(self, capsys, tmp_path, member):
+        doc = {
+            "states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
+            "atoms": [[member, "b"]],
+            "positions": {"x": [0.0, 1.0]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["oce", str(path), "--position", "x"])
+        assert code == 2
+        assert out == ""
+        assert f"atoms[0] names unknown state {member!r}" in err
 
     def test_measure_that_is_not_a_measure(self, capsys, scenario_file):
         code, _, err = run_cli(capsys, ["divergence", scenario_file, "--measure", "payoff"])
