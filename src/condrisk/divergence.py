@@ -357,16 +357,14 @@ class EquivalentConditionalMeasure:
         return f"EquivalentConditionalMeasure({self.weights.tolist()})"
 
 
-def check_density(
-    space: FiniteProbabilitySpace, g: Partition, y: ConditionalDensity, tol: float = MASS_TOL
-) -> None:
+def check_density(space: FiniteProbabilitySpace, g: Partition, y: ConditionalDensity) -> None:
     """Validate that y has conditional mean one on every atom of g."""
     _check_pair(space, g)
     if len(y) != space.num_states:
         raise ValueError(f"density has length {len(y)}, expected {space.num_states}")
     mass = _per_atom(g, lambda b: b.dot(space.probs[b.idx], y.values[b.idx]))
     base = atom_masses(space, g)
-    bad = np.flatnonzero(np.abs(mass - base) > tol)
+    bad = np.flatnonzero(np.abs(mass - base) > MASS_TOL)
     if bad.size:
         i = int(bad[0])
         raise ValueError(
@@ -376,10 +374,7 @@ def check_density(
 
 
 def check_measure(
-    space: FiniteProbabilitySpace,
-    g: Partition,
-    nu: EquivalentConditionalMeasure,
-    tol: float = MASS_TOL,
+    space: FiniteProbabilitySpace, g: Partition, nu: EquivalentConditionalMeasure
 ) -> None:
     """Validate that nu restricts to the base measure on the partition."""
     _check_pair(space, g)
@@ -387,12 +382,12 @@ def check_measure(
         raise ValueError(f"measure has length {len(nu)}, expected {space.num_states}")
     mass = _per_atom(g, lambda b: b.sum(nu.weights[b.idx]))
     base = atom_masses(space, g)
-    bad = np.flatnonzero(np.abs(mass - base) > tol)
+    bad = np.flatnonzero(np.abs(mass - base) > MASS_TOL)
     if bad.size:
         i = int(bad[0])
         raise ValueError(
             f"atom A{i}: measure mass {float(mass[i])!r} differs from base mass "
-            f"{float(base[i])!r} by more than {tol}"
+            f"{float(base[i])!r} by more than {MASS_TOL}"
         )
 
 

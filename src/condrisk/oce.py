@@ -83,8 +83,6 @@ def _atom_searches(space, g, gen, x, tol):
         w = p / b.spread(b.sum(p))
         xa = x.values[b.idx]
         c = b.max(xa)
-        xc = xa - b.spread(c)
-        lo = b.min(xc)
 
         def slope_gap(t):
             # primal stationarity and the dual mean-one condition at once
@@ -92,9 +90,17 @@ def _atom_searches(space, g, gen, x, tol):
             return b.dot(w, y) - 1.0
 
         # a slope that overflows to +inf lies above 1, which the search
-        # handles; one errstate per search, since entering it costs more
+        # handles; one errstate per block, since entering it costs more
         # than a step's bookkeeping
         with np.errstate(over="ignore"):
+            xc = xa - b.spread(c)
+            lo = b.min(xc)
+            bad = np.flatnonzero(np.isinf(lo))
+            if bad.size:
+                raise ValueError(
+                    f"atom A{b.atoms.start + int(bad[0])}: the payoff range max - min "
+                    "overflows a float"
+                )
             r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
         yield b, w, xa, c, (r.x, r.bracket_width, r.iterations)
 
@@ -172,7 +178,8 @@ def entropic_risk(
 
     Closed form of the certainty equivalent for the relative-entropy
     generator; evaluated as a segmented log-sum-exp shifted by each atom's
-    max of -x, so large positions cannot overflow.
+    max of -x, so large positions cannot overflow.  A shifted term that
+    overflows to -inf contributes exp(-inf) = 0, the exact limit.
     """
     _check_pair(space, g)
     _check_rv(space, x)
@@ -181,6 +188,8 @@ def entropic_risk(
         p = space.probs[b.idx]
         neg = -x.values[b.idx]
         m = b.max(neg)
-        return -(m + np.log(b.dot(p, np.exp(neg - b.spread(m))) / b.sum(p)))
+        with np.errstate(over="ignore"):
+            shifted = neg - b.spread(m)
+        return -(m + np.log(b.dot(p, np.exp(shifted)) / b.sum(p)))
 
     return ConditionalValue(_per_atom(g, risk))

@@ -11,12 +11,14 @@ Random variables are real vectors indexed by state.  Conditional values
 real vectors indexed by atom; they stand for the G-measurable functions that
 are constant on each atom.
 
-Every conditional reduction runs on one segment layout that a partition
-builds once: its states in atom order, cut into blocks of consecutive atoms
-with at most ``BLOCK_STATES`` states (a larger atom is a block of its own).
-A block is reduced with segmented numpy sums (``np.add.reduceat``), so the
-cost per call grows with the number of blocks, not of atoms, and the
-temporaries stay within one block.
+A partition stores one layout and nothing else: its states in atom order
+as one integer array, the atom sizes, and the blocks cut from that order,
+runs of consecutive atoms with at most ``BLOCK_STATES`` states (a larger
+atom is a block of its own).  Its ``atoms`` and per-atom index arrays are
+read back from that layout.  Every conditional reduction runs on the
+blocks with segmented numpy sums (``np.add.reduceat``), so the cost per
+call grows with the number of blocks, not of atoms, and the temporaries
+stay within one block.
 
 All operations are pure functions of their inputs and are safe to call from
 multiple threads.
@@ -153,45 +155,56 @@ class _Block:
         return np.repeat(a, self.sizes)
 
 
-@dataclass(frozen=True, eq=True)
 class Partition:
     """Partition of the state index set; each member generates one atom.
 
-    Atoms are nonempty, pairwise disjoint index tuples whose union is the
-    full index range ``0..n-1``.  The generated sigma-algebra consists of
-    all unions of atoms.  Construction also lays the states out in atom
-    order, once, and cuts that order into the blocks every conditional
-    reduction runs on (see the module docstring).
+    Atoms are nonempty, pairwise disjoint index sets whose union is the full
+    index range ``0..n-1``.  The generated sigma-algebra consists of all
+    unions of atoms.  The partition stores one layout: its states in atom
+    order, the atom sizes, and the blocks cut from that order, on which every
+    conditional reduction runs (see the module docstring).  ``atoms`` and
+    :meth:`index_arrays` read that layout back.  Two partitions are equal
+    when their layouts are, so the order of members within an atom counts.
     """
 
-    atoms: tuple
-
     def __init__(self, atoms: Iterable[Iterable[int]]):
-        norm = []
+        members = []
         for atom in atoms:
-            members = tuple(int(i) for i in atom)
-            if not members:
+            try:
+                arr = np.asarray(atom, dtype=np.intp)
+            except TypeError:  # an iterator or a set
+                arr = np.fromiter(atom, dtype=np.intp)
+            if arr.ndim != 1:
+                raise ValueError(f"atoms must be one-dimensional, got shape {arr.shape}")
+            if arr.size == 0:
                 raise ValueError("atoms must be nonempty")
-            norm.append(members)
-        if not norm:
+            members.append(arr)
+        if not members:
             raise ValueError("a partition needs at least one atom")
-        flat = [i for atom in norm for i in atom]
-        n = len(flat)
-        if len(set(flat)) != n:
+        order = np.concatenate(members)
+        n = order.size
+        in_range = order.min() >= 0 and order.max() < n
+        # a repeated index is reported before a gap, also beside an index out
+        # of range, which bincount cannot take; only that error path sorts
+        if in_range:
+            repeated = np.bincount(order, minlength=n).max() > 1
+        else:
+            ordered = np.sort(order)
+            repeated = (ordered[1:] == ordered[:-1]).any()
+        if repeated:
             raise ValueError("atoms must be pairwise disjoint")
-        if set(flat) != set(range(n)):
+        if not in_range:
             raise ValueError(
                 "atoms must cover exactly the index range 0..n-1; "
-                f"got indices {sorted(set(flat))}"
+                f"got indices {sorted(set(order.tolist()))}"
             )
-        order = np.array(flat, dtype=np.intp)
         order.setflags(write=False)
-        sizes = np.array([len(a) for a in norm], dtype=np.intp)
+        sizes = np.array([a.size for a in members], dtype=np.intp)
         ends = np.cumsum(sizes)
         starts = ends - sizes
         blocks = []
         first = 0
-        while first < len(norm):
+        while first < sizes.size:
             # the atoms that end within BLOCK_STATES of this one's start, at least one
             stop = max(first + 1, int(np.searchsorted(ends, starts[first] + BLOCK_STATES, "right")))
             lo, hi = starts[first], ends[stop - 1]
@@ -199,9 +212,14 @@ class Partition:
                 _Block(slice(first, stop), order[lo:hi], starts[first:stop] - lo, sizes[first:stop])
             )
             first = stop
-        object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        self._order = order
+        self._sizes = sizes
+        self._blocks = tuple(blocks)
+
+    @property
+    def atoms(self) -> tuple:
+        """Each atom's state indices as a tuple of ints, in atom order."""
+        return tuple(tuple(v.tolist()) for v in self.index_arrays())
 
     @property
     def num_states(self) -> int:
@@ -209,7 +227,7 @@ class Partition:
 
     @property
     def num_atoms(self) -> int:
-        return len(self.atoms)
+        return self._sizes.size
 
     def index_arrays(self) -> tuple:
         """Per-atom state indices: views into the partition's state order."""
@@ -218,17 +236,29 @@ class Partition:
     @cached_property
     def _index_arrays(self) -> tuple:
         # built on first use: the reductions run on the blocks instead
-        return tuple(v for b in self._blocks for v in np.split(b.idx, b.starts[1:]))
+        return tuple(np.split(self._order, np.cumsum(self._sizes[:-1])))
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        same_sizes = np.array_equal(self._sizes, other._sizes)
+        return same_sizes and np.array_equal(self._order, other._order)
+
+    def __hash__(self) -> int:
+        return hash((self._sizes.tobytes(), self._order.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Partition(atoms={self.atoms!r})"
 
     @classmethod
     def trivial(cls, num_states: int) -> "Partition":
         """Single atom containing every state (no information)."""
-        return cls([tuple(range(num_states))])
+        return cls([np.arange(num_states)])
 
     @classmethod
     def discrete(cls, num_states: int) -> "Partition":
         """One atom per state (full information)."""
-        return cls([(i,) for i in range(num_states)])
+        return cls(np.arange(num_states)[:, None])
 
 
 class _VectorBase:

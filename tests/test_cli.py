@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert f"atoms[0] names unknown state {member!r}" in err
+
+    @pytest.mark.parametrize("command", ["entropic", "oce", "dual", "gap"])
+    def test_payoff_range_that_overflows_a_float(self, capsys, tmp_path, command):
+        # max - min of [1e308, -1e308] is beyond the largest float
+        doc = {
+            "states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
+            "atoms": [["a", "b"]],
+            "positions": {"x": [1e308, -1e308]},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [command, str(path), "--position", "x"])
+        if command == "entropic":
+            assert (code, err) == (0, "")
+            assert float(out.splitlines()[1].split()[2]) == -1e308
+        else:
+            assert (code, out) == (2, "")
+            assert err == "condrisk: error: atom A0: the payoff range max - min overflows a float\n"
 
     def test_measure_that_is_not_a_measure(self, capsys, scenario_file):
         code, _, err = run_cli(capsys, ["divergence", scenario_file, "--measure", "payoff"])

@@ -2,6 +2,7 @@
 niveloid-shape properties of the value map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from condrisk import (
     embed,
     entropic_risk,
     i_phi,
+    oce_dual,
     oce_primal,
 )
 from conftest import BUILTIN_NAMES, random_instance
@@ -137,6 +139,18 @@ class TestSolverContract:
                 oce_primal(space, g, builtin_generator("kl"), x, tol=bad)
 
 
+    def test_payoff_range_beyond_the_largest_float_names_its_atom(self):
+        # the second atom's max - min overflows; the first is ordinary
+        space = uniform_space(4)
+        g = Partition([[0, 1], [2, 3]])
+        x = RandomVariable([0.0, 1.0, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (oce_primal, oce_dual):
+                with pytest.raises(ValueError, match="atom A1: the payoff range"):
+                    solve(space, g, builtin_generator("kl"), x)
+
+
 class TestValueMapShape:
     """The certainty equivalent is a niveloid in x; sampled directly here,
     exhaustively in the acceptance suite."""
@@ -252,6 +266,13 @@ class TestEntropicRisk:
         assert np.isfinite(out.values[0])
         # the worst state dominates: value close to -800 - log(1/2) shifted
         assert abs(out.values[0] - (-800.0 + math.log(2.0))) < 1e-9
+
+    def test_payoff_range_beyond_the_largest_float(self):
+        space = uniform_space(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = entropic_risk(space, Partition.trivial(2), RandomVariable([1e308, -1e308]))
+        assert out.values[0] == -1e308
 
     def test_agrees_with_kl_certainty_equivalent(self):
         rng = np.random.default_rng(45)

@@ -104,6 +104,57 @@ class TestPartition:
         with pytest.raises(ValueError, match="at least one atom"):
             Partition([])
 
+    @pytest.mark.parametrize("atoms", [[[2], [2]], [[-1, 0], [-1]], [[0, 7], [7, 1]]])
+    def test_a_repeat_is_reported_before_an_index_out_of_range(self, atoms):
+        with pytest.raises(ValueError, match="disjoint"):
+            Partition(atoms)
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [[2, 0], [3], [1, 4]],
+            ((2, 0), (3,), (1, 4)),
+            ((i for i in (2, 0)), iter([3]), {1, 4}),
+            [np.array([2, 0]), np.array([3], dtype=np.int32), np.array([1, 4], dtype=np.uint8)],
+        ],
+        ids=["lists", "tuples", "iterators", "arrays"],
+    )
+    def test_every_kind_of_atom_gives_one_layout(self, atoms):
+        g = Partition(atoms)
+        assert g.atoms == ((2, 0), (3,), (1, 4))
+        assert all(type(i) is int for atom in g.atoms for i in atom)
+        assert [a.tolist() for a in g.index_arrays()] == [[2, 0], [3], [1, 4]]
+        (block,) = g._blocks
+        assert block.atoms == slice(0, 3)
+        assert block.idx.tolist() == [2, 0, 3, 1, 4]
+        assert block.starts.tolist() == [0, 2, 3]
+        assert block.sizes.tolist() == [2, 1, 2]
+
+    @pytest.mark.parametrize("atom", [[[0, 1]], np.zeros((1, 2), dtype=int), 0])
+    def test_rejects_atom_that_is_not_one_dimensional(self, atom):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Partition([atom, [2]])
+
+    def test_layout_is_read_only(self):
+        g = Partition([[0, 1], [2]])
+        with pytest.raises(ValueError):
+            g.index_arrays()[0][0] = 2
+        with pytest.raises(AttributeError):
+            g.atoms = ((0,), (1, 2))
+
+    def test_equal_atoms_compare_and_hash_equal(self):
+        g = Partition([[0, 1], [2]])
+        h = Partition([np.array([0, 1]), (2,)])
+        assert g == h and hash(g) == hash(h)
+        assert len({g, h, Partition.trivial(3)}) == 2
+        assert g != Partition([[1, 0], [2]])  # members permuted within an atom
+        assert g != Partition([[2], [0, 1]])  # atoms permuted
+        assert g != Partition([[0], [1], [2]])
+        assert g != g.atoms
+
+    def test_repr_lists_the_atoms(self):
+        assert repr(Partition([[0, 1], [2]])) == "Partition(atoms=((0, 1), (2,)))"
+
 
 class TestVectorArithmetic:
     def test_rv_elementwise(self):
