@@ -27,6 +27,7 @@ byte-identical output.  Each command takes only the options it reads (see
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -115,7 +116,7 @@ def parse_scenario(raw) -> Scenario:
         names.append(name)
         probs.append(float(prob))
     if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted(n for n, k in collections.Counter(names).items() if k > 1)
         raise ScenarioError(f"duplicate state names: {dupes}")
     try:
         space = FiniteProbabilitySpace(names, probs)

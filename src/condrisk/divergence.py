@@ -19,7 +19,9 @@ builds the argument attaining that supremum.
 
 Built-in generators: relative entropy ("kl"), Pearson chi-square ("chi2") and
 the power family ("power:<alpha>", alpha > 1).  Their closed-form conjugates
-are cross-checked against :func:`numeric_conjugate` in the test suite.
+are cross-checked against :func:`numeric_conjugate` in the test suite.  KL's
+phi computes t log t as t * log(t) with the log taken at 1 where t = 0, so
+0 log 0 = 0 with numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .probspace import (
     ConditionalValue,
@@ -101,10 +102,16 @@ class DivergenceGenerator:
         object.__setattr__(self, "phi_star_prime", self.phi_star_prime or _numeric_argmax(self.phi))
 
 
+def _kl_phi(t):
+    """t log t - t + 1, with 0 log 0 = 0 (and NaN below 0, outside the domain)."""
+    t = np.asarray(t, dtype=float)
+    return t * np.log(np.where(t == 0.0, 1.0, t)) - t + 1.0
+
+
 def _kl_generator() -> DivergenceGenerator:
     return DivergenceGenerator(
         name="kl",
-        phi=lambda t: xlogy(t, t) - np.asarray(t, dtype=float) + 1.0,
+        phi=_kl_phi,
         phi_star=np.expm1,
         phi_star_prime=np.exp,
         phi_prime=np.log,

@@ -155,6 +155,13 @@ class _Block:
         return np.repeat(a, self.sizes)
 
 
+def _some(indices: np.ndarray) -> str:
+    """A count of sorted indices and the first five of them, for a message."""
+    head = ", ".join(map(str, indices[:5].tolist()))
+    more = ", ..." if indices.size > 5 else ""
+    return f"{indices.size}: [{head}{more}]"
+
+
 class Partition:
     """Partition of the state index set; each member generates one atom.
 
@@ -194,9 +201,13 @@ class Partition:
         if repeated:
             raise ValueError("atoms must be pairwise disjoint")
         if not in_range:
+            outside = (order < 0) | (order >= n)
+            present = np.zeros(n, dtype=bool)
+            present[order[~outside]] = True
             raise ValueError(
-                "atoms must cover exactly the index range 0..n-1; "
-                f"got indices {sorted(set(order.tolist()))}"
+                f"atoms must cover exactly the index range 0..n-1 (n = {n}); "
+                f"missing {_some(np.flatnonzero(~present))}, "
+                f"out of range {_some(np.sort(order[outside]))}"
             )
         order.setflags(write=False)
         sizes = np.array([a.size for a in members], dtype=np.intp)

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -356,6 +357,25 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["oce", str(path), "--position", "payoff"])
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_duplicate_names_are_listed_quickly(self, capsys, tmp_path):
+        # counting each name's copies with list.count took about a minute here
+        n = 50_000
+        names = [f"s{i}" for i in range(n)]
+        names[40_000] = "s9"
+        names[45_000] = "s10"
+        doc = {
+            "states": [{"name": name, "prob": 1.0 / n} for name in names],
+            "atoms": [names],
+            "positions": {"x": [0.0] * n},
+        }
+        path = tmp_path / "dupes.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, ["oce", str(path), "--position", "x"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "duplicate state names: ['s10', 's9']" in err
 
     def test_unknown_position(self, capsys, scenario_file):
         code, _, err = run_cli(capsys, ["oce", scenario_file, "--position", "ghost"])

@@ -53,6 +53,14 @@ class TestBuiltinGenerators:
         assert float(gen.phi_star_prime(0.0)) == 1.0
         assert abs(float(gen.phi_prime(math.e)) - 1.0) < 1e-15
 
+    def test_kl_phi_matches_xlogy_oracle(self):
+        phi = builtin_generator("kl").phi
+        rng = np.random.default_rng(0)
+        t = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300], rng.uniform(0.0, 10.0, 1000)])
+        np.testing.assert_allclose(phi(t), kl_phi(t), rtol=1e-15, atol=0.0)
+        assert phi(0.0) == 1.0
+        assert phi(1.0) == 0.0
+
     def test_chi2_values(self):
         gen = builtin_generator("chi2")
         assert float(gen.phi(1.0)) == 0.0

@@ -96,6 +96,14 @@ class TestPartition:
         with pytest.raises(ValueError, match="cover"):
             Partition([[0], [2]])
 
+    def test_cover_message_names_only_the_offending_indices(self):
+        with pytest.raises(ValueError, match="cover") as info:
+            Partition([np.arange(1, 10**6 + 1)])
+        message = str(info.value)
+        assert message.startswith("atoms must cover exactly the index range 0..n-1")
+        assert len(message) < 1000
+        assert "[0]" in message and "[1000000]" in message
+
     def test_rejects_empty_atom(self):
         with pytest.raises(ValueError, match="nonempty"):
             Partition([[0, 1], []])
