@@ -27,6 +27,7 @@ phi computes t log t as t * log(t) with the log taken at 1 where t = 0, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,10 +87,10 @@ class DivergenceGenerator:
     arrays.  ``phi_star_prime`` is the nondecreasing right derivative of the
     conjugate (equivalently the argmax t of m t - phi(t)); it is what the
     certainty-equivalent solvers search on.  When it is omitted or None it is
-    synthesized from phi as that argmax, found by direct maximization per
-    argument, so every generator carries one.  ``phi_prime`` is the right
-    derivative of phi on (0, inf) and may be None for generators defined
-    only through phi.
+    synthesized from phi as that argmax, found by one direct maximization
+    over all the arguments of a call, so every generator carries one.
+    ``phi_prime`` is the right derivative of phi on (0, inf) and may be None
+    for generators defined only through phi.
     """
 
     name: str
@@ -99,7 +100,7 @@ class DivergenceGenerator:
     phi_prime: Optional[Callable] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "phi_star_prime", self.phi_star_prime or _numeric_argmax(self.phi))
+        object.__setattr__(self, "phi_star_prime", self.phi_star_prime or partial(_numeric_argmax, self.phi))
 
 
 def _kl_phi(t):
@@ -190,51 +191,56 @@ def builtin_generator(spec: str) -> DivergenceGenerator:
     )
 
 
-def _map_scalar(fn, m):
-    """Apply a float->float function over a scalar or array argument."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim == 0:
-        return float(fn(float(arr)))
-    flat = np.array([fn(float(v)) for v in arr.ravel()])
-    return flat.reshape(arr.shape)
+def _conjugate_search(phi, m):
+    """Maximize h(t) = m t - phi(t) over t >= 0, for one m or an array of them at once.
 
-
-def _conjugate_search(phi, m: float):
-    """Maximize h(t) = m t - phi(t) over t >= 0; returns the solver result."""
+    Returns the maximizing t and the maximum, shaped like m; both are +inf
+    where h still grows at ``T_CAP``.
+    """
+    shape = np.shape(m)
+    m = np.asarray(m, dtype=float).reshape(-1) if shape else float(m)
 
     def h(t):
-        return m * t - float(phi(t))
+        return m * t - np.asarray(phi(t), dtype=float)
 
-    lo, hi = expand_bracket_max(h, 0.0, 1.0, ceiling=T_CAP, min_lo=0.0)
-    xtol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-    return golden_section_max(h, lo, hi, xtol=xtol)
+    lo, hi = expand_bracket_max(h, np.zeros_like(m), np.ones_like(m), ceiling=T_CAP, min_lo=0.0)
+    xtol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    peak = golden_section_max(h, lo, hi, xtol=xtol)
+    return np.reshape(peak.x, shape)[()], np.reshape(peak.value, shape)[()]
 
 
-def _numeric_argmax(phi) -> Callable:
-    """phi_star' from phi alone: the maximizing t of m t - phi(t), per argument.
+def _numeric_argmax(phi, m):
+    """phi_star'(m) from phi alone: the maximizing t of m t - phi(t), for all m at once.
 
     An argmax past ``T_CAP`` (KL's exp(m) for m > 27.6) is +inf, a slope
     the multiplier search reads as above its root.
     """
-
-    def argmax(m):
-        try:
-            return _conjugate_search(phi, m).x
-        except UnboundedObjective:
-            return np.inf
-
-    return lambda m: _map_scalar(argmax, m)
+    return _conjugate_search(phi, m)[0]
 
 
-def numeric_conjugate(gen: DivergenceGenerator, m: float) -> float:
+def _conjugate(phi, m):
+    """phi_star(m) by direct maximization; raises where the maximum is unbounded."""
+    value = _conjugate_search(phi, m)[1]
+    grew = np.flatnonzero(np.isinf(value))
+    if grew.size:
+        raise UnboundedObjective(
+            f"m t - phi(t) still increasing at t={T_CAP:g} for m={np.ravel(m)[grew[0]]:g}; "
+            "the conjugate appears unbounded",
+            "right",
+        )
+    return value
+
+
+def numeric_conjugate(gen: DivergenceGenerator, m):
     """Conjugate value phi_star(m) computed by direct maximization.
 
     Serves as the independent route against which closed-form conjugates are
-    verified.  Raises :class:`condrisk.scalar_opt.UnboundedObjective` when
-    the bracket expansion exceeds ``T_CAP``, which signals a generator
+    verified; an array of arguments is searched at once.  Raises
+    :class:`condrisk.scalar_opt.UnboundedObjective` when the maximizing t
+    grows past ``T_CAP`` for some argument, which signals a generator
     violating superlinear growth.
     """
-    return _conjugate_search(gen.phi, float(m)).value
+    return _conjugate(gen.phi, m)
 
 
 def generator_from_phi(
@@ -248,11 +254,9 @@ def generator_from_phi(
     ``phi_star_prime`` its maximizing t (the envelope derivative), so both
     stay consistent with each other by construction.
     """
-
-    def phi_star(m):
-        return _map_scalar(lambda mm: _conjugate_search(phi, mm).value, m)
-
-    return DivergenceGenerator(name=str(name), phi=phi, phi_star=phi_star, phi_prime=phi_prime)
+    return DivergenceGenerator(
+        name=str(name), phi=phi, phi_star=partial(_conjugate, phi), phi_prime=phi_prime
+    )
 
 
 def validate_generator(gen: DivergenceGenerator) -> None:
@@ -296,14 +300,15 @@ def validate_generator(gen: DivergenceGenerator) -> None:
             f"{gen.name}: phi(t)/t must keep growing (checked up to t={CHECK_T_MAX:g}); "
             "the generator looks at most linear"
         )
-    for m in CHECK_M_GRID:
-        direct = numeric_conjugate(gen, m)
-        stated = float(gen.phi_star(m))
-        if abs(direct - stated) > CONJ_TOL:
-            raise ValueError(
-                f"{gen.name}: phi_star({m:g})={stated!r} disagrees with direct "
-                f"maximization {direct!r} beyond {CONJ_TOL:g}"
-            )
+    direct = numeric_conjugate(gen, CHECK_M_GRID)
+    stated = np.asarray(gen.phi_star(CHECK_M_GRID), dtype=float)
+    bad = np.flatnonzero(np.abs(direct - stated) > CONJ_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{gen.name}: phi_star({CHECK_M_GRID[i]:g})={float(stated[i])!r} disagrees with direct "
+            f"maximization {float(direct[i])!r} beyond {CONJ_TOL:g}"
+        )
     if abs(float(gen.phi_star(0.0))) > 1e-10:
         raise ValueError(f"{gen.name}: phi_star(0) must be 0")
     # slope tolerance must absorb argmax extraction from a flat maximum,

@@ -16,7 +16,8 @@ inventing a number.
 
 Concavity with G-measurable weights implies the computation is local: the
 value on an atom depends on the input only through its restriction to that
-atom.  That is what lets every routine here work atom by atom.
+atom.  That is what lets the searches here step every atom's own problem
+with one operator call.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divergence import ConditionalDensity, DivergenceGenerator, check_density
-from .oce import entropic_risk, i_phi
+from .oce import _check_tol, entropic_risk, i_phi
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
     Partition,
     RandomVariable,
+    atom_masses,
     cond_expectation,
     cond_sup_norm,
     embed,
@@ -41,12 +43,7 @@ from .probspace import (
     _check_rv,
     _per_atom,
 )
-from .scalar_opt import (
-    SolverError,
-    UnboundedObjective,
-    expand_bracket_max,
-    golden_section_max,
-)
+from .scalar_opt import SolverError, expand_bracket_max, golden_section_max
 
 __all__ = [
     "ConditionalOperator",
@@ -85,7 +82,9 @@ class ConditionalOperator:
     ``evaluate`` must be deterministic.  The flags are declarations by the
     caller, not inferences; :func:`check_niveloid_axioms` is the tool for
     testing whether they (and the niveloid axioms) actually hold.  Locality
-    needs no flag of its own: ``concave`` carries it (see the module notes).
+    needs no flag of its own: ``concave`` carries it (see the module notes),
+    and :func:`niveloidify` and :func:`penalty` rely on it to search all
+    atoms at once, one ``evaluate`` call per step.
     """
 
     evaluate: Callable[[RandomVariable], ConditionalValue]
@@ -118,47 +117,41 @@ def niveloidify(
     x: RandomVariable,
     tol: float = 1e-10,
 ) -> ConditionalValue:
-    """Translation completion sup_a ( a + op(x - a) ), atom by atom.
+    """Translation completion sup_a ( a + op(x - a) ), searched on all atoms at once.
 
     Requires the monotone and concave flags: monotonicity collapses the
-    completion to a scalar search over the shift a, and concavity both makes
-    that search concave and localizes the value to each atom.  The initial
-    shift bracket [min_A x - 1, max_A x + 1] is doubled outward as needed;
-    sustained growth past ``CEILING`` means the supremum is +inf and raises
-    :class:`NotDominatedError` naming the offending atoms.
+    completion to a search over the shift a, and concavity both makes that
+    search concave and localizes the value to each atom, so one operator
+    call at x - a, a shifting every atom, serves every atom's search step.
+    The initial shift brackets [min_A x - 1, max_A x + 1] are doubled
+    outward as needed; sustained growth past ``CEILING`` means the supremum
+    is +inf and raises :class:`NotDominatedError` naming the offending
+    atoms.  ``tol`` is the width to which each shift is searched.
     """
     _check_pair(space, g)
     _check_rv(space, x)
+    tol = _check_tol(tol)
     if not (op.monotone and op.concave):
         raise ValueError(
             f"niveloidify needs an operator declared monotone and concave; "
             f"{op.name!r} declares monotone={op.monotone}, concave={op.concave}"
         )
-    values = np.empty(g.num_atoms)
-    unbounded = []
-    for i, idx in enumerate(g.index_arrays()):
-        xa = x.values[idx]
 
-        def shifted_gain(c):
-            z = x.values.copy()
-            z[idx] -= c
-            return c + float(_eval(op, g, RandomVariable(z))[i])
+    def shifted_gain(c):
+        return c + _eval(op, g, x - embed(g, ConditionalValue(c)))
 
-        lo, hi = float(xa.min()) - 1.0, float(xa.max()) + 1.0
-        try:
-            lo, hi = expand_bracket_max(shifted_gain, lo, hi, ceiling=CEILING)
-        except UnboundedObjective:
-            unbounded.append(i)
-            continue
-        peak = golden_section_max(shifted_gain, lo, hi, xtol=tol)
-        values[i] = peak.value
+    lo = _per_atom(g, lambda b: b.min(x.values[b.idx])) - 1.0
+    hi = _per_atom(g, lambda b: b.max(x.values[b.idx])) + 1.0
+    lo, hi = expand_bracket_max(shifted_gain, lo, hi, ceiling=CEILING)
+    peak = golden_section_max(shifted_gain, lo, hi, xtol=tol)
+    unbounded = np.flatnonzero(np.isinf(peak.value)).tolist()
     if unbounded:
         raise NotDominatedError(
             f"operator {op.name!r} is not dominated by any niveloid: the completion "
             f"grew past {CEILING:g} on atoms {unbounded}",
             unbounded,
         )
-    return ConditionalValue(values)
+    return ConditionalValue(peak.value)
 
 
 def niveloidify_bruteforce(
@@ -251,11 +244,14 @@ def penalty(
 
     Computed by cyclic coordinate ascent over the states of each atom, at
     most ``PENALTY_SWEEPS`` sweeps, each coordinate maximized to
-    ``PENALTY_XTOL`` by a bracketed golden-section search.  A finite
-    result is a lower bound on the true penalty that is exact for
-    coordinate-wise separable operators; sweeps stop early once a full pass
-    improves the objective by less than 1e-12.  An atom is ``inf`` once a
-    coordinate's objective still grows past ``CEILING`` (see
+    ``PENALTY_XTOL`` by a bracketed golden-section search.  The j-th states
+    of all atoms still climbing are searched together, one operator call
+    per step, which relies on the locality that ``concave`` carries (see
+    the module notes), so the operator must declare it.  A finite result is
+    a lower bound on the true penalty that is exact for coordinate-wise
+    separable operators; an atom stops climbing once a full sweep improves
+    it by less than 1e-12.  An atom is ``inf`` once a coordinate's
+    objective still grows past ``CEILING`` (see
     :func:`condrisk.scalar_opt.expand_bracket_max`), and its ascent stops
     there.  That is how a density the operator does not price shows, as
     with a shifted expectation and y != 1, where the objective grows
@@ -265,39 +261,44 @@ def penalty(
     """
     _check_pair(space, g)
     check_density(space, g, y)
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        w = space.probs[idx]
-        w = w / w.sum()
-        ya = y.values[idx]
-        z = np.zeros(space.num_states)
-
-        def objective_at(zvec):
-            return float(_eval(op, g, RandomVariable(zvec))[i]) - float(w @ (zvec[idx] * ya))
-
-        current = objective_at(z)
-        for _ in range(PENALTY_SWEEPS):
-            before = current
-            for s in idx:
-
-                def along(c):
-                    trial = z.copy()
-                    trial[s] = c
-                    return objective_at(trial)
-
-                try:
-                    lo, hi = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
-                except UnboundedObjective:
-                    current = np.inf
-                    break
-                peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
-                if peak.value > current:
-                    z[s] = peak.x
-                    current = peak.value
-            if current == np.inf or current - before <= 1e-12:
+    if not op.concave:
+        raise ValueError(
+            f"penalty needs an operator declared concave; "
+            f"{op.name!r} declares concave={op.concave}"
+        )
+    # E[z y | A] is sum_s wy_s z_s over the states of A
+    wy = space.probs * y.values / embed(g, ConditionalValue(atom_masses(space, g))).values
+    starts = np.cumsum(g._sizes) - g._sizes
+    z = np.zeros(space.num_states)
+    current = _eval(op, g, RandomVariable(z)).copy()
+    climbing = np.ones(g.num_atoms, dtype=bool)
+    for _ in range(PENALTY_SWEEPS):
+        before = current.copy()
+        for j in range(int(g._sizes.max())):
+            atoms = np.flatnonzero(climbing & (g._sizes > j))
+            if not atoms.size:
                 break
-        out[i] = current
-    return ConditionalValue.unbounded(out)
+            s = g._order[starts[atoms] + j]
+            # E[z y | A] without the term of the coordinate being searched
+            rest = _per_atom(g, lambda b: b.dot(wy[b.idx], z[b.idx]))[atoms] - wy[s] * z[s]
+
+            def along(c):
+                trial = z.copy()
+                trial[s] = c
+                return _eval(op, g, RandomVariable(trial))[atoms] - (rest + wy[s] * c)
+
+            lo, hi = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
+            peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
+            up = peak.value > current[atoms]
+            current[atoms[up]] = peak.value[up]
+            grew = np.isinf(peak.value)
+            z[s[up & ~grew]] = peak.x[up & ~grew]
+            climbing[atoms[grew]] = False
+        with np.errstate(invalid="ignore"):  # inf - inf where an atom grew a sweep ago
+            climbing &= current - before > 1e-12
+        if not climbing.any():
+            break
+    return ConditionalValue.unbounded(current)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,25 @@
 """Bracketed one-dimensional solvers shared by the risk-measure routines.
 
-Two workhorses cover everything this package optimizes:
+Three searches cover everything this package optimizes:
 
-* :func:`bisect_nondecreasing` finds the root of a monotone scalar function,
-  or of many independent ones at once, one bracket each, by the ITP rule
-  (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi step
-  truncated towards the midpoint and projected so that no bracket takes
-  more than ``ITP_N0`` (one) step beyond bisection's ceil(log2(w0/xtol)).
-  All first-order conditions in this package reduce to such a root because
-  the objectives are concave with monotone derivatives.
+* :func:`bisect_nondecreasing` finds the root of a monotone function by the
+  ITP rule (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi
+  step truncated towards the midpoint and projected so that no bracket
+  takes more than ``ITP_N0`` (one) step beyond bisection's
+  ceil(log2(w0/xtol)).  All first-order conditions in this package reduce
+  to such a root because the objectives are concave with monotone
+  derivatives.
 * :func:`golden_section_max` maximizes a concave (or unimodal) function on a
   closed interval without derivatives, with :func:`expand_bracket_max`
   growing the interval first when no a-priori bracket is known.
 
-Both stop on an interval-width tolerance and an iteration cap, and report
-what they achieved so callers can surface residuals instead of silently
-returning garbage.
+Each is one step loop over an array of independent brackets, and a scalar
+bracket is an array of one: every bracket takes exactly the steps its scalar
+call would, and each step calls the function once, with one point per
+bracket, so independent problems such as the atoms of a partition share
+every call.  The searches stop on an interval-width tolerance and an
+iteration cap, and report what they achieved so callers can surface
+residuals instead of silently returning garbage.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class SolverError(RuntimeError):
 
 
 class UnboundedObjective(SolverError):
-    """Bracket expansion hit its ceiling while the objective kept growing."""
+    """A supremum grew past the search's ceiling: it reads as +inf."""
 
     def __init__(self, message: str, side: str):
         super().__init__(message)
@@ -72,6 +76,34 @@ class MaxResult:
     converged: bool
 
 
+def _brackets(f: Callable, lo, hi, strict: bool = False):
+    """Brackets as equally long float vectors, and ``f`` as a map over such vectors.
+
+    Returns ``(scalar, lo, hi, value)``; ``scalar`` is True for scalar ends,
+    and then ``value`` calls ``f`` with a float, as a scalar caller expects.
+    Every bracket must have lo <= hi, or lo < hi when ``strict``.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError(f"brackets must be scalars or equally long vectors, got {lo.shape} and {hi.shape}")
+    ok = lo < hi if strict else lo <= hi
+    if not ok.all():
+        i = int(np.argmax(~ok))
+        raise ValueError(f"invalid bracket [{lo[i]}, {hi[i]}]")
+
+    def value(t):
+        return np.asarray(f(float(t[0])) if scalar else f(t), dtype=float).reshape(lo.shape)
+
+    return scalar, lo, hi, value
+
+
+def _result(cls, scalar: bool, *fields):
+    """``cls`` of per-bracket arrays, or of their one entry for a scalar call."""
+    return cls(*(v[0].item() for v in fields)) if scalar else cls(*fields)
+
+
 def bisect_nondecreasing(
     f: Callable,
     lo,
@@ -83,7 +115,7 @@ def bisect_nondecreasing(
 ) -> RootResult:
     """Root of a nondecreasing function with f(lo) <= 0 <= f(hi).
 
-    The bracket shrinks by ITP steps (see the comment above the step loops)
+    The bracket shrinks by ITP steps (see the comment above the step loop)
     until it is narrower than ``xtol`` and, when ``ftol`` is given, the
     residual |f| at the last point is below it too; it stops early once
     the midpoint can no longer be resolved in floating point.  With
@@ -101,23 +133,7 @@ def bisect_nondecreasing(
     it are ignored, and the fields of the result are arrays.  Scalar
     brackets give a scalar result and call ``f`` with floats.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(f"brackets must be scalars or equally long vectors, got {lo.shape} and {hi.shape}")
-    if scalar:
-        scalar_f = f
-
-        def f(t):
-            return np.array([scalar_f(float(t[0]))], dtype=float)
-
-    def value(t):
-        return np.asarray(f(t), dtype=float).reshape(lo.shape)
-
-    if not np.all(lo <= hi):
-        i = int(np.argmax(~(lo <= hi)))
-        raise ValueError(f"invalid bracket [{lo[i]}, {hi[i]}]")
+    scalar, lo, hi, value = _brackets(f, lo, hi)
     slack = ftol if ftol is not None else 1e-9
     flo = value(lo)
     live = lo < hi  # a degenerate bracket is its own root
@@ -143,8 +159,7 @@ def bisect_nondecreasing(
     lo[at_hi], flo[at_hi] = hi[at_hi], fhi[at_hi]
     active = live & ~at_lo & ~at_hi
 
-    steps = _steps_one if lo.size == 1 else _steps
-    iterations = steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter)
+    iterations = _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter)
     width = hi - lo
     # report the bracket end whose residual is smallest
     take_lo = np.abs(flo) <= np.abs(fhi)
@@ -156,14 +171,11 @@ def bisect_nondecreasing(
     if ftol is not None:
         converged &= np.abs(fx) <= ftol
     converged |= resolved
-    if scalar:
-        return RootResult(float(x[0]), float(fx[0]), float(width[0]), int(iterations[0]), bool(converged[0]))
-    return RootResult(x, fx, width, iterations, converged)
+    return _result(RootResult, scalar, x, fx, width, iterations, converged)
 
 
-# The two step loops apply the same rule to each bracket, with the same float
-# operations in the same order, and update lo, hi, flo and fhi in place; they
-# return the number of steps per bracket.
+# The step loop applies one rule to each bracket and updates lo, hi, flo and
+# fhi in place; it returns the number of steps per bracket.
 #
 # The rule is ITP (interpolate, truncate, project; Oliveira & Takahashi,
 # ACM TOMS 47(1), 2020).  The regula falsi point is moved towards the
@@ -208,7 +220,7 @@ def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
     for j in range(max_iter):
         mid = 0.5 * (lo + hi)
         active &= (lo < mid) & (mid < hi)  # exhausted at floating point resolution
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         w = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -220,7 +232,7 @@ def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
             x = np.where(np.abs(x - mid) <= r, x, mid - np.copysign(r, d))
         x = np.where(active & (lo < x) & (x < hi) & (fhi < math.inf), x, mid)
         fx = value(x)
-        iterations += active
+        np.copyto(iterations, j + 1, where=active)
         bad = active & ~(fx > -np.inf)  # NaN or -inf
         if bad.any():
             i = int(np.argmax(bad))
@@ -238,145 +250,125 @@ def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
     return iterations
 
 
-def _steps_one(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
-    """The same steps for one bracket, in Python floats.
-
-    A step of :func:`_steps` costs a few dozen numpy calls whatever the
-    number of brackets, tens of microseconds that one bracket need not pay.
-    """
-    a, b, fa, fb = float(lo[0]), float(hi[0]), float(flo[0]), float(fhi[0])
-    iterations = 0
-    if active[0]:
-        k1 = ITP_KAPPA1 / (b - a)
-        n_max = int(_itp_budget(hi - lo, xtol)[0])
-        eps = 0.5 * (xtol - 4.0 * math.ulp(max(abs(a), abs(b))))
-    while active[0] and iterations < max_iter:
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        w = b - a
-        x = a + w * (fa / (fa - fb))  # regula falsi
-        d = mid - x
-        delta = max(k1 * w * w, 0.5 * eps if d > 0.0 else 0.25 * eps)
-        x = x + math.copysign(delta, d) if delta <= abs(d) else mid
-        r = max(math.ldexp(eps, n_max - iterations) - 0.5 * w, 0.0)
-        if not abs(x - mid) <= r:
-            x = mid - math.copysign(r, d)
-        if not (a < x < b and fb < math.inf):
-            x = mid
-        fx = float(value(np.array([x]))[0])
-        iterations += 1
-        if not fx > -math.inf:
-            raise SolverError(f"non-finite value f({x})={fx} during bisection")
-        if fx <= 0.0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        if b - a <= xtol and (ftol is None or abs(fx) <= ftol):
-            break
-    lo[0], hi[0], flo[0], fhi[0] = a, b, fa, fb
-    return np.array([iterations])
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float,
-) -> MaxResult:
+def golden_section_max(f: Callable, lo, hi, *, xtol) -> MaxResult:
     """Derivative-free maximization of a unimodal function on [lo, hi].
 
     Classic golden-section search; additionally tracks the best point seen
     (including the interval ends) so boundary maxima are reported exactly.
+    Brackets are given as for :func:`bisect_nondecreasing`, and ``xtol``
+    may be one tolerance per bracket.  An infinite end, where
+    :func:`expand_bracket_max` saw the objective still growing, is the
+    maximum: such a bracket reports that end with value +inf and an
+    infinite width, and ``f`` is evaluated only at its finite end.
     """
-    if not (lo <= hi):
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    best_x, best_v = lo, f(lo)
-    fhi = f(hi)
-    if fhi > best_v:
-        best_x, best_v = hi, fhi
-    a, b = lo, hi
+    scalar, lo, hi, value = _brackets(f, lo, hi)
+    grew = np.isinf(lo) | np.isinf(hi)
+    # a grown bracket collapses onto its finite end, so it takes no step
+    a = np.where(np.isinf(lo), hi, lo)
+    b = np.where(np.isinf(hi), lo, hi)
+    fa, fb = value(a), value(b)
+    take = fb > fa
+    best_x, best_v = np.where(take, b, a), np.where(take, fb, fa)
     h = b - a
-    if h <= xtol:
-        return MaxResult(best_x, best_v, h, 0, True)
-    c = a + INV_PHI2 * h
-    d = a + INV_PHI * h
-    fc = f(c)
-    fd = f(d)
-    iterations = 0
-    while h > xtol and iterations < DEFAULT_MAX_ITER:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + INV_PHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + INV_PHI * h
-            fd = f(d)
-        iterations += 1
+    active = h > xtol
+    c, d = a + INV_PHI2 * h, a + INV_PHI * h
+    # probes of a bracket already narrower than xtol do not count
+    fc, fd = np.where(active, value(c), -np.inf), np.where(active, value(d), -np.inf)
+    iterations = np.zeros(a.shape, dtype=int)
+    left, right = np.empty_like(active), np.empty_like(active)
+    for j in range(DEFAULT_MAX_ITER):
+        active &= h > xtol
+        if not np.count_nonzero(active):
+            break
+        # the maximum lies left of d: keep [a, d] and its probe c, else [c, b] and d
+        np.logical_and(active, fc >= fd, out=left)
+        np.not_equal(active, left, out=right)
+        np.copyto(b, d, where=left)
+        np.copyto(d, c, where=left)
+        np.copyto(fd, fc, where=left)
+        np.copyto(a, c, where=right)
+        np.copyto(c, d, where=right)
+        np.copyto(fc, fd, where=right)
+        h = b - a
+        x = a + np.where(left, INV_PHI2, INV_PHI) * h
+        fx = value(x)
+        np.copyto(c, x, where=left)
+        np.copyto(fc, fx, where=left)
+        np.copyto(d, x, where=right)
+        np.copyto(fd, fx, where=right)
+        np.copyto(iterations, j + 1, where=active)
     for x, v in ((c, fc), (d, fd)):
-        if v > best_v:
-            best_x, best_v = x, v
-    return MaxResult(best_x, best_v, h, iterations, h <= xtol)
+        take = v > best_v
+        best_x, best_v = np.where(take, x, best_x), np.where(take, v, best_v)
+    best_x = np.where(grew, np.where(np.isinf(hi), hi, lo), best_x)
+    best_v[grew] = h[grew] = np.inf
+    return _result(MaxResult, scalar, best_x, best_v, h, iterations, (h <= xtol) & ~grew)
+
+
+def _improving(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    return candidate > reference + 1e-9 * (1.0 + np.abs(reference))
 
 
 def expand_bracket_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo,
+    hi,
     *,
     ceiling: float,
     min_lo: Optional[float] = None,
 ) -> tuple:
     """Grow [lo, hi] until a concave objective has an interior maximum.
 
-    Each side is pushed outward, its step doubling each time, while the end
-    value keeps strictly improving on the interior probe; sustained growth
-    past ``ceiling`` raises :class:`UnboundedObjective`, which callers
-    interpret as a divergent supremum.  ``min_lo`` is a hard domain wall:
-    the left end clamps there instead of expanding past it.
+    Each side is pushed outward, the right one first, its step doubling
+    each time, while the end value keeps strictly improving on the
+    interior probe.  An end pushed past ``ceiling`` comes back as +inf on
+    the right or -inf on the left and its bracket stops growing: the
+    supremum appears unbounded there, and :func:`golden_section_max` reads
+    such a bracket as +inf.  ``min_lo`` is a hard domain wall: the left end
+    clamps there instead of expanding past it.
 
     Flat objectives are left alone: improvement below a small relative
     slack does not trigger expansion, so a constant function keeps its
     initial bracket instead of chasing rounding noise to the ceiling.
+
+    Brackets are given as for :func:`bisect_nondecreasing`; array ends
+    give the arrays ``(lo, hi)``.
     """
-    if not (lo < hi):
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    scalar, lo, hi, value = _brackets(f, lo, hi, strict=True)
     span = hi - lo
     mid = 0.5 * (lo + hi)
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
-
-    def improving(candidate: float, reference: float) -> bool:
-        return candidate > reference + 1e-9 * (1.0 + abs(reference))
-
-    step = span
-    while improving(fhi, fmid):
-        lo, flo = mid, fmid
-        mid, fmid = hi, fhi
-        step *= 2.0
-        hi = hi + step
-        if abs(hi) > ceiling:
-            raise UnboundedObjective(
-                f"objective still increasing at {hi:.3g}; supremum appears unbounded", "right"
-            )
-        fhi = f(hi)
-    step = span
-    while improving(flo, fmid):
-        hi, fhi = mid, fmid
-        mid, fmid = lo, flo
-        step *= 2.0
-        new_lo = lo - step
+    # near, mid and far lie in the direction a bracket grows: way is +1
+    # while it grows right, -1 while it grows left, and 0 once it stops
+    near, far = lo, hi
+    fnear, fmid, ffar = value(lo), value(mid), value(hi)
+    step = span.copy()
+    way = np.ones_like(lo)
+    while True:
+        grow = (way != 0.0) & _improving(ffar, fmid)
+        turn = (way > 0.0) & ~grow  # the right side is done: grow the left from the first step
+        if turn.any():
+            near, far = np.where(turn, far, near), np.where(turn, near, far)
+            fnear, ffar = np.where(turn, ffar, fnear), np.where(turn, fnear, ffar)
+            np.copyto(step, span, where=turn)
+            way[turn] = -1.0
+            grow |= turn & _improving(ffar, fmid)
+        if not grow.any():
+            break
+        np.copyto(near, mid, where=grow)
+        np.copyto(fnear, fmid, where=grow)
+        np.copyto(mid, far, where=grow)
+        np.copyto(fmid, ffar, where=grow)
+        np.multiply(step, 2.0, out=step, where=grow)
+        new = far + way * step
         if min_lo is not None:
-            if lo <= min_lo:
-                break
-            new_lo = max(new_lo, min_lo)
-        lo = new_lo
-        if abs(lo) > ceiling:
-            raise UnboundedObjective(
-                f"objective still increasing at {lo:.3g}; supremum appears unbounded", "left"
-            )
-        flo = f(lo)
-    return lo, hi
+            grow &= ~((way < 0.0) & (far <= min_lo))  # the left end is at the wall
+            new = np.where(way < 0.0, np.maximum(new, min_lo), new)
+        past = grow & (np.abs(new) > ceiling)
+        new[past] = way[past] * np.inf
+        np.copyto(far, new, where=grow)
+        grow &= ~past
+        way[~grow] = 0.0
+        if grow.any():
+            np.copyto(ffar, value(np.where(grow, far, mid)), where=grow)
+    lo, hi = np.minimum(near, far), np.maximum(near, far)
+    return (lo[0].item(), hi[0].item()) if scalar else (lo, hi)

@@ -172,6 +172,38 @@ class TestNiveloidify:
             niveloidify(space, g, op, RandomVariable([0.0, 1.0, -1.0, 2.0]))
         assert err.value.atoms == (0,)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        space = uniform_space(4)
+        g = Partition([[0, 1], [2, 3]])
+        op = iphi_operator(space, g, builtin_generator("kl"))
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            niveloidify(space, g, op, RandomVariable([0.0, 1.0, 2.0, 5.0]), tol=tol)
+
+    def test_operator_calls_do_not_grow_with_the_atoms(self):
+        # the atoms are searched together, so 50 atoms of the same shape as 5
+        # take the same operator calls, and give the same values
+        sizes = [2, 3, 1, 4, 2]
+        rng = np.random.default_rng(72)
+        p5, x5 = rng.uniform(0.5, 1.5, sum(sizes)), rng.uniform(-3.0, 3.0, sum(sizes))
+        calls = {}
+        for copies in (1, 10):
+            n = copies * sum(sizes)
+            space = FiniteProbabilitySpace([f"s{i}" for i in range(n)], np.tile(p5, copies) / (copies * p5.sum()))
+            g = Partition(np.split(np.arange(n), np.cumsum(np.tile(sizes, copies))[:-1]))
+            inner = iphi_operator(space, g, builtin_generator("chi2"))
+            count = [0]
+
+            def counted(z, inner=inner, count=count):
+                count[0] += 1
+                return inner.evaluate(z)
+
+            op = ConditionalOperator(evaluate=counted, monotone=True, concave=True, name="counted")
+            out = niveloidify(space, g, op, RandomVariable(np.tile(x5, copies))).values
+            calls[copies] = count[0]
+            np.testing.assert_allclose(out, np.tile(out[: len(sizes)], copies), rtol=0, atol=1e-12)
+        assert calls[1] == calls[10]
+
 
 class TestBruteForce:
     def test_matches_the_solver_within_grid_resolution(self):
@@ -298,6 +330,31 @@ class TestPenalty:
         op = expectation_operator(space, g)
         with pytest.raises(ValueError, match="atom A0"):
             penalty(space, g, op, ConditionalDensity([2.0, 1.5]))
+
+    def test_unpriced_atom_beside_a_priced_one(self):
+        # an expectation on atom 0 prices only y = 1 there, the entropic risk
+        # on atom 1 prices y by its relative entropy; the atoms climb together
+        space = uniform_space(4)
+        g = Partition([[0, 1], [2, 3]])
+
+        def mixed(z):
+            return ConditionalValue(
+                [cond_expectation(space, g, z).values[0], entropic_operator(space, g).evaluate(z).values[1]]
+            )
+
+        op = ConditionalOperator(evaluate=mixed, monotone=True, concave=True, name="mixed")
+        y = ConditionalDensity([1.5, 0.5, 1.6, 0.4])
+        out = penalty(space, g, op, y).values
+        ref = cond_divergence(space, g, builtin_generator("kl"), density_to_measure(space, g, y)).values
+        assert out[0] == math.inf
+        assert abs(out[1] - ref[1]) <= 1e-6
+
+    def test_requires_the_concave_declaration(self):
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        op = squared_expectation_operator(space, g)
+        with pytest.raises(ValueError, match="penalty needs an operator declared concave"):
+            penalty(space, g, op, ConditionalDensity([1.0, 1.0]))
 
 
 class TestAxiomChecker:

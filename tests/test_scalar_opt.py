@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from condrisk.scalar_opt import (
     SolverError,
-    UnboundedObjective,
     bisect_nondecreasing,
     expand_bracket_max,
     golden_section_max,
@@ -113,14 +112,18 @@ class TestExpandBracket:
         assert lo <= -40.0
 
     def test_unbounded_right(self):
-        with pytest.raises(UnboundedObjective) as err:
-            expand_bracket_max(lambda x: x, 0.0, 1.0, ceiling=1e4)
-        assert err.value.side == "right"
+        # growth past the ceiling comes back as an infinite end, which the
+        # golden search reads as a supremum of +inf there
+        lo, hi = expand_bracket_max(lambda x: x, 0.0, 1.0, ceiling=1e4)
+        assert hi == math.inf and lo < 1e4
+        res = golden_section_max(lambda x: x, lo, hi, xtol=1e-10)
+        assert (res.x, res.value, res.converged) == (math.inf, math.inf, False)
 
     def test_unbounded_left(self):
-        with pytest.raises(UnboundedObjective) as err:
-            expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4)
-        assert err.value.side == "left"
+        lo, hi = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4)
+        assert lo == -math.inf and hi > -1e4
+        res = golden_section_max(lambda x: -x, lo, hi, xtol=1e-10)
+        assert (res.x, res.value, res.converged) == (-math.inf, math.inf, False)
 
     def test_domain_wall_clamps_left_expansion(self):
         lo, hi = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4, min_lo=0.0)
@@ -135,3 +138,53 @@ class TestExpandBracket:
         lo, hi = expand_bracket_max(f, 0.0, 1.0, ceiling=1e6)
         res = golden_section_max(f, lo, hi, xtol=1e-8)
         assert abs(res.x - 123.5) <= 1e-6
+
+
+def fields(res):
+    return (res.x, res.value, res.bracket_width, res.iterations, res.converged)
+
+
+def batched(objectives):
+    """One objective per bracket, evaluated at one point each."""
+    return lambda t: np.array([f(v) for f, v in zip(objectives, t)])
+
+
+def test_batched_golden_follows_its_scalar_steps():
+    cases = [  # (objective, lo, hi, xtol)
+        (lambda x: -((x - 0.7) ** 2), -1.0, 2.0, 1e-10),  # interior peak
+        (lambda x: -x, 0.0, 1.0, 1e-10),  # boundary maximum
+        (lambda x: 7.0, -1.0, 1.0, 1e-8),  # flat objective
+        (lambda x: -x * x, 1.0, 1.0 + 1e-12, 1e-10),  # narrower than xtol
+        (lambda x: x, 0.0, math.inf, 1e-10),  # grown past a ceiling on the right
+        (lambda x: -x, -math.inf, 0.0, 1e-10),  # and on the left
+    ]
+    objectives, lo, hi, xtol = (list(c) for c in zip(*cases))
+    many = golden_section_max(batched(objectives), np.array(lo), np.array(hi), xtol=np.array(xtol))
+    for i, (f, a, b, tol) in enumerate(cases):
+        one = golden_section_max(f, a, b, xtol=tol)
+        assert tuple(v[i] for v in fields(many)) == fields(one)
+    assert many.value[4] == many.value[5] == math.inf
+    assert (many.x[4], many.x[5]) == (math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("min_lo", [None, 0.0])
+def test_batched_expansion_follows_its_scalar_steps(min_lo):
+    cases = [  # (objective, lo, hi)
+        (lambda x: -((x - 0.7) ** 2), -1.0, 2.0),  # interior peak: left alone
+        (lambda x: -abs(x - 40.0), 0.0, 1.0),  # grows right
+        (lambda x: -abs(x + 40.0), 0.5, 1.0),  # grows left, or stops at the wall
+        (lambda x: 3.0, 0.0, 1.0),  # flat objective: left alone
+        (lambda x: x, 0.0, 1.0),  # unbounded to the right
+        (lambda x: -x, 0.5, 1.0),  # unbounded to the left, or stops at the wall
+    ]
+    objectives, lo, hi = (list(c) for c in zip(*cases))
+    f = batched(objectives)
+    many = expand_bracket_max(f, np.array(lo), np.array(hi), ceiling=1e4, min_lo=min_lo)
+    peaks = golden_section_max(f, *many, xtol=1e-9)
+    for i, (g, a, b) in enumerate(cases):
+        one = expand_bracket_max(g, a, b, ceiling=1e4, min_lo=min_lo)
+        assert (many[0][i], many[1][i]) == one
+        assert tuple(v[i] for v in fields(peaks)) == fields(golden_section_max(g, *one, xtol=1e-9))
+    assert many[1][4] == math.inf
+    assert many[0][5] == (-math.inf if min_lo is None else 0.0)
+    assert many[0][2] <= -40.0 if min_lo is None else many[0][2] == 0.0
