@@ -5,8 +5,8 @@ dual representation by penalized expectations, conditional phi-divergences
 with their variational (Donsker-Varadhan style) form, and the translation
 completion turning monotone concave conditional operators into niveloids.
 Primal and dual share one multiplier search; ``condrisk gap`` checks their
-values at it, while ``entropic_risk``, ``dual_bruteforce`` and
-``niveloidify_bruteforce`` are the independent oracles.
+values at it, while ``entropic_risk`` and the grid oracles of the test suite
+(``tests/oracles.py``) are the independent checks.
 """
 
 from . import divergence, dual, niveloid, oce, probspace

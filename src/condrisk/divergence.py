@@ -225,8 +225,7 @@ def _conjugate(phi, m):
     if grew.size:
         raise UnboundedObjective(
             f"m t - phi(t) still increasing at t={T_CAP:g} for m={np.ravel(m)[grew[0]]:g}; "
-            "the conjugate appears unbounded",
-            "right",
+            "the conjugate appears unbounded"
         )
     return value
 

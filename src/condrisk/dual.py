@@ -32,12 +32,10 @@ from .probspace import (
     FiniteProbabilitySpace,
     Partition,
     RandomVariable,
-    _check_pair,
-    _check_rv,
 )
 from .scalar_opt import SolverError
 
-__all__ = ["DualSolution", "oce_dual", "duality_gap", "dual_bruteforce"]
+__all__ = ["DualSolution", "oce_dual", "duality_gap"]
 
 
 @dataclass(frozen=True)
@@ -120,48 +118,8 @@ def duality_gap(
     phi(y) + phi_star(m) = m y at m = lambda - x, y = phi_star'(m), together
     with the renormalization of y.  It is a self-check of the value and
     density formulas, not of the search; the independent oracles are
-    :func:`condrisk.oce.entropic_risk` and :func:`dual_bruteforce`.
+    :func:`condrisk.oce.entropic_risk` and the simplex grid of the test
+    suite (``tests/oracles.py``).
     """
     return ConditionalValue(_gap_and_dual(space, g, gen, x, tol)[0])
 
-
-def dual_bruteforce(
-    space: FiniteProbabilitySpace,
-    g: Partition,
-    gen: DivergenceGenerator,
-    x: RandomVariable,
-    grid_n: int = 100,
-) -> ConditionalValue:
-    """Grid minimum of the dual objective over the feasible simplex.
-
-    Test oracle, deliberately independent of the KKT solver: on each atom
-    the feasible conditional measures form a simplex, which is swept with a
-    barycentric grid of resolution 1/grid_n.  Only meant for tiny atoms;
-    atoms with more than 3 states or a grid coarser than 100 are refused.
-    """
-    _check_pair(space, g)
-    _check_rv(space, x)
-    grid_n = int(grid_n)
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be at least 100 to be trustworthy, got {grid_n}")
-    out = np.empty(g.num_atoms)
-    for i, idx in enumerate(g.index_arrays()):
-        k = len(idx)
-        if k > 3:
-            raise ValueError(f"atom A{i} has {k} states; the brute-force grid handles at most 3")
-        w = space.probs[idx]
-        w = w / w.sum()
-        xa = x.values[idx]
-        if k == 1:
-            q = np.array([[1.0]])
-        elif k == 2:
-            steps = np.arange(grid_n + 1) / grid_n
-            q = np.stack([steps, 1.0 - steps], axis=1)
-        else:
-            ii, jj = np.meshgrid(np.arange(grid_n + 1), np.arange(grid_n + 1), indexing="ij")
-            keep = ii + jj <= grid_n
-            q = np.stack([ii[keep], jj[keep], grid_n - ii[keep] - jj[keep]], axis=1) / grid_n
-        # q rows are conditional measure weights; densities are q / w
-        obj = q @ xa + (w * np.asarray(gen.phi(q / w), dtype=float)).sum(axis=1)
-        out[i] = float(obj.min())
-    return ConditionalValue(out)

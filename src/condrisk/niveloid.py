@@ -22,7 +22,6 @@ with one operator call.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,7 +50,6 @@ __all__ = [
     "AxiomCheck",
     "NiveloidAxiomReport",
     "niveloidify",
-    "niveloidify_bruteforce",
     "penalty",
     "check_niveloid_axioms",
     "expectation_operator",
@@ -68,11 +66,6 @@ CEILING = 1e6
 # maximized to PENALTY_XTOL
 PENALTY_SWEEPS = 500
 PENALTY_XTOL = 1e-10
-
-# niveloidify_bruteforce: the shift grids reach BRUTEFORCE_PAD beyond each
-# atom's range of x, the position grids BRUTEFORCE_DEPTH below x
-BRUTEFORCE_PAD = 1.0
-BRUTEFORCE_DEPTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -152,86 +145,6 @@ def niveloidify(
             unbounded,
         )
     return ConditionalValue(peak.value)
-
-
-def niveloidify_bruteforce(
-    space: FiniteProbabilitySpace,
-    g: Partition,
-    op: ConditionalOperator,
-    x: RandomVariable,
-    grid: int = 9,
-    *,
-    order: str = "y_then_a",
-) -> ConditionalValue:
-    """Grid supremum of the translation completion; oracle for tiny spaces.
-
-    Sweeps G-measurable shifts a (per-atom grids over [min_A x - BRUTEFORCE_PAD,
-    max_A x + BRUTEFORCE_PAD]) jointly with positions dominated by x.  The two
-    equivalent nestings of the defining supremum are both available:
-
-    * ``"y_then_a"``: sup over y <= x (per-state grids reaching
-      ``BRUTEFORCE_DEPTH`` below x) of sup over a of a + op(y - a);
-    * ``"a_then_y"``: sup over a of sup over y <= x - a of a + op(y).
-
-    Any declared flags are ignored: this is the oracle one runs when the
-    operator's shape is in doubt, so it must not lean on it.  Cost is
-    grid**(num_states + num_atoms) operator calls; spaces with more than 3
-    states are refused.  If the grid supremum is still climbing at either
-    end of the shift range the operator is flagged as not dominated (shrink
-    the shift toward -inf or +inf and the completion diverges).
-    """
-    _check_pair(space, g)
-    _check_rv(space, x)
-    if space.num_states > 3:
-        raise ValueError(f"brute force handles at most 3 states, got {space.num_states}")
-    grid = int(grid)
-    if grid < 3:
-        raise ValueError(f"grid must have at least 3 points per axis, got {grid}")
-    if order not in ("y_then_a", "a_then_y"):
-        raise ValueError(f"order must be 'y_then_a' or 'a_then_y', got {order!r}")
-    index_arrays = g.index_arrays()
-    a_grids = [
-        np.linspace(
-            x.values[idx].min() - BRUTEFORCE_PAD, x.values[idx].max() + BRUTEFORCE_PAD, grid
-        )
-        for idx in index_arrays
-    ]
-    best = np.full(g.num_atoms, -np.inf)
-    # per atom, the best value seen at each level of that atom's shift grid,
-    # used afterwards to detect a supremum still climbing at the boundary
-    by_level = np.full((g.num_atoms, grid), -np.inf)
-    for levels in itertools.product(range(grid), repeat=g.num_atoms):
-        a_atoms = np.array([a_grids[i][levels[i]] for i in range(g.num_atoms)])
-        a_states = embed(g, ConditionalValue(a_atoms)).values
-        if order == "y_then_a":
-            tops = x.values
-        else:
-            tops = x.values - a_states
-        axes = [np.linspace(top - BRUTEFORCE_DEPTH, top, grid) for top in tops]
-        for combo in itertools.product(*axes):
-            y = np.asarray(combo)
-            z = y - a_states if order == "y_then_a" else y
-            vals = a_atoms + _eval(op, g, RandomVariable(z))
-            best = np.maximum(best, vals)
-            for i in range(g.num_atoms):
-                if vals[i] > by_level[i, levels[i]]:
-                    by_level[i, levels[i]] = vals[i]
-    def still_climbing(i, end, inward):
-        slack = 1e-9 * (1.0 + abs(by_level[i, end]))
-        return by_level[i, end] >= best[i] and by_level[i, end] > by_level[i, inward] + slack
-
-    climbing = [
-        i
-        for i in range(g.num_atoms)
-        if still_climbing(i, -1, -2) or still_climbing(i, 0, 1)
-    ]
-    if climbing:
-        raise NotDominatedError(
-            f"operator {op.name!r} looks not dominated: the grid supremum is still "
-            f"climbing at an end of the shift range on atoms {climbing}",
-            climbing,
-        )
-    return ConditionalValue(best)
 
 
 def penalty(
@@ -350,12 +263,14 @@ def check_niveloid_axioms(
     regularity on G-measurable sets, and nonexpansiveness (1-Lipschitz) in
     the conditional sup norm.  ``tol`` should be the identity tolerance for
     closed-form operators and about twice the solver tolerance when the
-    operator itself is computed by a solver.
+    operator itself is computed by a solver; it must be finite and >= 0.
     """
     _check_pair(space, g)
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(seed)
     n, k = space.num_states, g.num_atoms
 

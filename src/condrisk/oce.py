@@ -10,9 +10,11 @@ objective is concave with nonincreasing derivative 1 - E[phi_star'(a - x)|A],
 and since phi_star' is nondecreasing with slope value 1 at the origin the
 maximizer always lies in [min_A x, max_A x].  The solver finds the root of
 that derivative with :func:`condrisk.scalar_opt.bisect_nondecreasing`, whose
-ITP rule (regula falsi, truncated and projected) never takes more than one
-step beyond bisection's ceil(log2(range / tol)), all atoms of a partition
-block at once.  Every generator carries phi_star' (synthesized from phi
+ITP rule (regula falsi, truncated and projected) brings the bracket below
+tol within one step beyond bisection's ceil(log2(range / tol)), all atoms of
+a partition block at once; the search also waits for the slope residual to
+fall below tol, which adds steps where the root lies near a kink of
+phi_star'.  Every generator carries phi_star' (synthesized from phi
 when not given), so this search is the only one.  The maximizer is also the
 dual KKT multiplier, so it is the package's only multiplier solve:
 :func:`oce_primal` and :func:`condrisk.dual.oce_dual` both derive from it.

@@ -177,15 +177,16 @@ class Partition:
     def __init__(self, atoms: Iterable[Iterable[int]]):
         members = []
         for atom in atoms:
-            try:
-                arr = np.asarray(atom, dtype=np.intp)
-            except TypeError:  # an iterator or a set
-                arr = np.fromiter(atom, dtype=np.intp)
+            arr = np.asarray(atom)
+            if arr.ndim == 0 and arr.dtype == object:  # an iterator or a set
+                arr = np.array(list(atom))
             if arr.ndim != 1:
                 raise ValueError(f"atoms must be one-dimensional, got shape {arr.shape}")
             if arr.size == 0:
                 raise ValueError("atoms must be nonempty")
-            members.append(arr)
+            if arr.dtype.kind not in "iu":  # no silent truncation of floats, bools or strings
+                raise ValueError(f"atoms must hold integer state indices, got dtype {arr.dtype}")
+            members.append(arr.astype(np.intp, copy=False))
         if not members:
             raise ValueError("a partition needs at least one atom")
         order = np.concatenate(members)

@@ -4,10 +4,11 @@ Three searches cover everything this package optimizes:
 
 * :func:`bisect_nondecreasing` finds the root of a monotone function by the
   ITP rule (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi
-  step truncated towards the midpoint and projected so that no bracket
-  takes more than ``ITP_N0`` (one) step beyond bisection's
-  ceil(log2(w0/xtol)).  All first-order conditions in this package reduce
-  to such a root because the objectives are concave with monotone
+  step truncated towards the midpoint and projected so that every bracket
+  is narrower than ``xtol`` within ``ITP_N0`` (one) step beyond bisection's
+  ceil(log2(w0/xtol)); a residual test ``ftol`` can add steps past that,
+  near a kink of the function.  All first-order conditions in this package
+  reduce to such a root because the objectives are concave with monotone
   derivatives.
 * :func:`golden_section_max` maximizes a concave (or unimodal) function on a
   closed interval without derivatives, with :func:`expand_bracket_max`
@@ -52,10 +53,6 @@ class SolverError(RuntimeError):
 
 class UnboundedObjective(SolverError):
     """A supremum grew past the search's ceiling: it reads as +inf."""
-
-    def __init__(self, message: str, side: str):
-        super().__init__(message)
-        self.side = side
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,14 @@ def bisect_nondecreasing(
     *,
     xtol: float,
     ftol: Optional[float] = None,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RootResult:
     """Root of a nondecreasing function with f(lo) <= 0 <= f(hi).
 
     The bracket shrinks by ITP steps (see the comment above the step loop)
     until it is narrower than ``xtol`` and, when ``ftol`` is given, the
     residual |f| at the last point is below it too; it stops early once
-    the midpoint can no longer be resolved in floating point.  With
+    the midpoint can no longer be resolved in floating point.  A bracket
+    still open after ``DEFAULT_MAX_ITER`` steps is not converged.  With
     ``ftol=None`` no bracket takes more than ceil(log2((hi - lo) / xtol)) +
     ``ITP_N0`` steps.
     A sign pattern incompatible with a nondecreasing function raises
@@ -159,7 +156,7 @@ def bisect_nondecreasing(
     lo[at_hi], flo[at_hi] = hi[at_hi], fhi[at_hi]
     active = live & ~at_lo & ~at_hi
 
-    iterations = _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter)
+    iterations = _steps(value, lo, hi, flo, fhi, active, xtol, ftol)
     width = hi - lo
     # report the bracket end whose residual is smallest
     take_lo = np.abs(flo) <= np.abs(fhi)
@@ -208,7 +205,7 @@ def _itp_budget(w0, xtol):
     return np.maximum(e - (m == 0.5), 0) + ITP_N0
 
 
-def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
+def _steps(value, lo, hi, flo, fhi, active, xtol, ftol):
     """Step every active bracket at once; a stopped bracket stays frozen."""
     iterations = np.zeros(lo.shape, dtype=int)
     n_max = _itp_budget(hi - lo, xtol)
@@ -217,7 +214,7 @@ def _steps(value, lo, hi, flo, fhi, active, xtol, ftol, max_iter):
     # NaN until the midpoint replaces it, so its 0/0 is silenced
     with np.errstate(divide="ignore", invalid="ignore"):
         k1 = ITP_KAPPA1 / (hi - lo)
-    for j in range(max_iter):
+    for j in range(DEFAULT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         active &= (lo < mid) & (mid < hi)  # exhausted at floating point resolution
         if not np.count_nonzero(active):

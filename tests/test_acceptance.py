@@ -37,13 +37,13 @@ from condrisk import (
     iphi_operator,
     measure_to_density,
     niveloidify,
-    niveloidify_bruteforce,
     numeric_conjugate,
     oce_dual,
     oce_primal,
 )
 
 from conftest import BUILTIN_NAMES, random_density, random_instance, random_measure
+from oracles import niveloidify_bruteforce
 
 
 def _report(line: str) -> None:

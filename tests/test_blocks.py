@@ -41,6 +41,7 @@ from condrisk import (
     oce_dual,
     oce_primal,
 )
+from condrisk import scalar_opt
 from condrisk.probspace import BLOCK_STATES
 from condrisk.scalar_opt import bisect_nondecreasing
 
@@ -152,7 +153,7 @@ def test_batched_search_matches_scalar_search(seed, name):
             assert np.all(np.abs(dual.value.values - dual_ref) <= REL * (1 + np.abs(dual_ref)))
 
 
-def test_batched_brackets_follow_their_scalar_steps():
+def test_batched_brackets_follow_their_scalar_steps(monkeypatch):
     rng = np.random.default_rng(7)
     roots = rng.uniform(-1.0, 1.0, 40)
     scale = 10.0 ** rng.uniform(-6, 2, 40)
@@ -162,13 +163,11 @@ def test_batched_brackets_follow_their_scalar_steps():
     roots = np.concatenate([roots, [0.5, 0.5, 2.0]])
     scale = np.concatenate([scale, [1.0, 1.0, 1.0]])
     for ftol, max_iter in ((1e-9, 200), (None, 200), (1e-9, 12)):
-        many = bisect_nondecreasing(
-            lambda t: scale * (t - roots), lo, hi, xtol=1e-10, ftol=ftol, max_iter=max_iter
-        )
+        monkeypatch.setattr(scalar_opt, "DEFAULT_MAX_ITER", max_iter)
+        many = bisect_nondecreasing(lambda t: scale * (t - roots), lo, hi, xtol=1e-10, ftol=ftol)
         for i in range(roots.size):
             one = bisect_nondecreasing(
-                lambda t: scale[i] * (t - roots[i]), lo[i], hi[i], xtol=1e-10, ftol=ftol,
-                max_iter=max_iter,
+                lambda t: scale[i] * (t - roots[i]), lo[i], hi[i], xtol=1e-10, ftol=ftol
             )
             assert (many.x[i], many.f_value[i], many.bracket_width[i]) == (
                 one.x, one.f_value, one.bracket_width

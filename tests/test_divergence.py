@@ -124,9 +124,8 @@ class TestNumericConjugate:
 
     def test_linear_growth_is_flagged_unbounded(self):
         gen = generator_from_phi("linear", lambda t: np.asarray(t, dtype=float) - 1.0)
-        with pytest.raises(UnboundedObjective) as err:
+        with pytest.raises(UnboundedObjective):
             numeric_conjugate(gen, 2.0)
-        assert err.value.side == "right"
 
 
 class TestGeneratorFromPhi:

@@ -26,12 +26,12 @@ from condrisk import (
     i_phi,
     iphi_operator,
     niveloidify,
-    niveloidify_bruteforce,
     oce_primal,
     penalty,
     squared_expectation_operator,
 )
 from conftest import BUILTIN_NAMES, random_density, random_instance
+from oracles import niveloidify_bruteforce
 
 
 def uniform_space(n):
@@ -398,6 +398,20 @@ class TestAxiomChecker:
         g = Partition.trivial(2)
         with pytest.raises(ValueError, match="samples"):
             check_niveloid_axioms(space, g, expectation_operator(space, g), samples=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            check_niveloid_axioms(space, g, expectation_operator(space, g), tol=tol)
+
+    def test_zero_tol_is_allowed_for_closed_forms(self):
+        space = uniform_space(2)
+        g = Partition.trivial(2)
+        report = check_niveloid_axioms(space, g, atom_min_operator(space, g), samples=5, tol=0.0)
+        assert len(report.checks) == 6
+        assert all(c.passed == (c.max_violation == 0.0) for c in report.checks)
 
     def test_deterministic_for_fixed_seed(self):
         space = uniform_space(3)

@@ -138,6 +138,22 @@ class TestPartition:
         assert block.starts.tolist() == [0, 2, 3]
         assert block.sizes.tolist() == [2, 1, 2]
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [[0, 1.9], [2]],
+            [[0, 1.0], [2]],
+            [["0", "1"], ["2"]],
+            [[True], [False], [2]],
+            [iter([1.9, 0]), {2}],
+            [np.array([0.0, 1.0]), [2]],
+        ],
+        ids=["floats", "integral-floats", "strings", "bools", "float-iterator", "float-array"],
+    )
+    def test_rejects_members_that_are_not_integers(self, atoms):
+        with pytest.raises(ValueError, match="integer state indices"):
+            Partition(atoms)
+
     @pytest.mark.parametrize("atom", [[[0, 1]], np.zeros((1, 2), dtype=int), 0])
     def test_rejects_atom_that_is_not_one_dimensional(self, atom):
         with pytest.raises(ValueError, match="one-dimensional"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condrisk import scalar_opt
 from condrisk.scalar_opt import (
     SolverError,
     bisect_nondecreasing,
@@ -54,8 +55,9 @@ class TestBisect:
         with pytest.raises(SolverError, match="non-finite"):
             bisect_nondecreasing(lambda x: math.nan, 0.0, 1.0, xtol=1e-9)
 
-    def test_iteration_cap_reported_as_not_converged(self):
-        res = bisect_nondecreasing(lambda x: x - 1.0, 0.0, 3.0, xtol=1e-300, max_iter=10)
+    def test_iteration_cap_reported_as_not_converged(self, monkeypatch):
+        monkeypatch.setattr(scalar_opt, "DEFAULT_MAX_ITER", 10)
+        res = bisect_nondecreasing(lambda x: x - 1.0, 0.0, 3.0, xtol=1e-300)
         assert not res.converged
         assert res.iterations == 10
         assert res.bracket_width > 1e-300
