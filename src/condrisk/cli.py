@@ -31,6 +31,7 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -96,6 +97,15 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(raw)
 
 
+def _float(v) -> float:
+    """float(v), with an integer beyond float range read as the literal 1e400
+    (or -1e400) reads: an infinity, which the finiteness checks then reject."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def parse_scenario(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -114,7 +124,7 @@ def parse_scenario(raw) -> Scenario:
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise ScenarioError(f"states[{pos}].prob must be a number, got {prob!r}")
         names.append(name)
-        probs.append(float(prob))
+        probs.append(_float(prob))
     if len(set(names)) != len(names):
         dupes = sorted(n for n, k in collections.Counter(names).items() if k > 1)
         raise ScenarioError(f"duplicate state names: {dupes}")
@@ -160,7 +170,7 @@ def parse_scenario(raw) -> Scenario:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
         try:
-            positions[label] = RandomVariable([float(v) for v in values])
+            positions[label] = RandomVariable([_float(v) for v in values])
         except ValueError as e:
             raise ScenarioError(f"position {label!r}: {e}") from None
     return Scenario(space=space, partition=partition, positions=positions, raw=raw)

@@ -1,19 +1,23 @@
-"""Grid oracles for the dual solver and the translation completion.
+"""Test oracles: grid searches for the dual solver and the translation
+completion, and the scenario parser as a plain per-entry loop.
 
-They sweep grids instead of solving first-order conditions, so they share
-no search with the library and can check it.  Both refuse atoms or spaces
-of more than 3 states, where the grids are small enough to sweep.
+The grid oracles sweep grids instead of solving first-order conditions, so
+they share no search with the library and can check it.  Both refuse atoms
+or spaces of more than 3 states, where the grids are small enough to sweep.
 
 * :func:`dual_bruteforce` minimizes the dual objective of
   :func:`condrisk.oce_dual` over a barycentric grid of each atom's
   simplex of conditional measures;
 * :func:`niveloidify_bruteforce` sweeps G-measurable shifts jointly with
   positions dominated by x for the supremum :func:`condrisk.niveloidify`
-  computes.
+  computes;
+* :func:`parse_scenario_reference` checks a scenario entry by entry, in
+  document order, for :func:`condrisk.cli.parse_scenario`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -28,6 +32,7 @@ from condrisk import (
     RandomVariable,
     embed,
 )
+from condrisk.cli import Scenario, ScenarioError, _float
 from condrisk.niveloid import _eval
 from condrisk.probspace import _check_pair, _check_rv
 
@@ -157,3 +162,79 @@ def niveloidify_bruteforce(
             climbing,
         )
     return ConditionalValue(best)
+
+
+def parse_scenario_reference(raw) -> Scenario:
+    """The scenario parser as one loop over the entries, checking each in turn.
+
+    Test oracle for :func:`condrisk.cli.parse_scenario`, which types whole
+    lists at once and runs per-entry loops only to name the first offending
+    entry: both must give bit-equal scenarios or the same error text.
+    """
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario must be a JSON object")
+    states = raw.get("states")
+    if not isinstance(states, list) or not states:
+        raise ScenarioError("'states' must be a nonempty list of {name, prob} objects")
+    names = []
+    probs = []
+    for pos, entry in enumerate(states):
+        if not isinstance(entry, dict) or "name" not in entry or "prob" not in entry:
+            raise ScenarioError(f"states[{pos}] must be an object with 'name' and 'prob'")
+        name = entry["name"]
+        prob = entry["prob"]
+        if not isinstance(name, str) or not name:
+            raise ScenarioError(f"states[{pos}].name must be a nonempty string")
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+            raise ScenarioError(f"states[{pos}].prob must be a number, got {prob!r}")
+        names.append(name)
+        probs.append(_float(prob))
+    if len(set(names)) != len(names):
+        dupes = sorted(n for n, k in collections.Counter(names).items() if k > 1)
+        raise ScenarioError(f"duplicate state names: {dupes}")
+    try:
+        space = FiniteProbabilitySpace(names, probs)
+    except ValueError as e:
+        raise ScenarioError(f"bad state probabilities: {e}") from None
+
+    atoms_raw = raw.get("atoms")
+    if not isinstance(atoms_raw, list) or not atoms_raw:
+        raise ScenarioError("'atoms' must be a nonempty list of state-name lists")
+    index = {n: i for i, n in enumerate(names)}
+    atoms = []
+    for pos, atom in enumerate(atoms_raw):
+        if not isinstance(atom, list) or not atom:
+            raise ScenarioError(f"atoms[{pos}] must be a nonempty list of state names")
+        members = []
+        for member in atom:
+            if not isinstance(member, str) or member not in index:
+                raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
+            members.append(index[member])
+        atoms.append(members)
+    try:
+        partition = Partition(atoms)
+    except ValueError as e:
+        raise ScenarioError(f"bad atoms: {e}") from None
+    if partition.num_states != space.num_states:
+        raise ScenarioError(
+            f"bad atoms: they cover {partition.num_states} of {space.num_states} states; "
+            "every state must appear in exactly one atom"
+        )
+
+    positions_raw = raw.get("positions", {})
+    if not isinstance(positions_raw, dict):
+        raise ScenarioError("'positions' must be an object mapping labels to value lists")
+    positions = {}
+    for label, values in positions_raw.items():
+        if not isinstance(values, list) or len(values) != len(names):
+            raise ScenarioError(
+                f"position {label!r} must list one value per state ({len(names)} values)"
+            )
+        for j, v in enumerate(values):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
+        try:
+            positions[label] = RandomVariable([_float(v) for v in values])
+        except ValueError as e:
+            raise ScenarioError(f"position {label!r}: {e}") from None
+    return Scenario(space=space, partition=partition, positions=positions, raw=raw)

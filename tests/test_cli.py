@@ -419,6 +419,32 @@ class TestExitCodes:
         assert code == 2
         assert "must be a number" in err
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("field", ["prob", "position"])
+    def test_integer_beyond_float_range_reads_as_1e400(self, capsys, tmp_path, field, sign):
+        # float() of such an integer raises OverflowError, which once escaped as exit 1
+        doc = {
+            "states": [{"name": "a", "prob": "HUGE"}, {"name": "b", "prob": 0.5}],
+            "atoms": [["a", "b"]],
+            "positions": {"x": [0.0, 1.0]},
+        }
+        if field == "position":
+            doc["states"][0]["prob"] = 0.5
+            doc["positions"]["x"][0] = "HUGE"
+        path = tmp_path / "huge.json"
+        results = []
+        for literal in (sign + "1" + "0" * 400, sign + "1e400"):
+            path.write_text(json.dumps(doc).replace('"HUGE"', literal))
+            results.append(run_cli(capsys, ["oce", str(path), "--position", "x"]))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (2, "")
+        if field == "prob":
+            assert err == "condrisk: error: bad state probabilities: probabilities must be finite\n"
+        else:
+            got = np.array([float(sign + "inf"), 1.0])
+            assert err == f"condrisk: error: position 'x': random variable must be finite, got {got!r}\n"
+
     def test_atoms_must_cover_states(self, capsys, tmp_path):
         doc = {
             "states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
