@@ -30,11 +30,14 @@ import argparse
 import collections
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,25 +110,24 @@ def _float(v) -> float:
 
 
 def parse_scenario(raw) -> Scenario:
+    """Validate a decoded scenario and build its space, partition and positions.
+
+    Each list is typed and converted in one pass; a loop over its entries
+    runs only when that check fails, to name the first offending entry.  So
+    a malformed scenario reports its first fault in document order: each
+    state entry (object and keys, then name, then prob), duplicate names,
+    the probabilities, each atom (list and nonempty, then members in order),
+    the cover, then each position in key order (list and length, entries,
+    finiteness).
+    """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     states = raw.get("states")
     if not isinstance(states, list) or not states:
         raise ScenarioError("'states' must be a nonempty list of {name, prob} objects")
-    names = []
-    probs = []
-    for pos, entry in enumerate(states):
-        if not isinstance(entry, dict) or "name" not in entry or "prob" not in entry:
-            raise ScenarioError(f"states[{pos}] must be an object with 'name' and 'prob'")
-        name = entry["name"]
-        prob = entry["prob"]
-        if not isinstance(name, str) or not name:
-            raise ScenarioError(f"states[{pos}].name must be a nonempty string")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-            raise ScenarioError(f"states[{pos}].prob must be a number, got {prob!r}")
-        names.append(name)
-        probs.append(_float(prob))
-    if len(set(names)) != len(names):
+    names, probs = _states(states)
+    index = dict(zip(names, range(len(names))))
+    if len(index) != len(names):
         dupes = sorted(n for n, k in collections.Counter(names).items() if k > 1)
         raise ScenarioError(f"duplicate state names: {dupes}")
     try:
@@ -136,17 +138,7 @@ def parse_scenario(raw) -> Scenario:
     atoms_raw = raw.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise ScenarioError("'atoms' must be a nonempty list of state-name lists")
-    index = {n: i for i, n in enumerate(names)}
-    atoms = []
-    for pos, atom in enumerate(atoms_raw):
-        if not isinstance(atom, list) or not atom:
-            raise ScenarioError(f"atoms[{pos}] must be a nonempty list of state names")
-        members = []
-        for member in atom:
-            if not isinstance(member, str) or member not in index:
-                raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
-            members.append(index[member])
-        atoms.append(members)
+    atoms = _atoms(atoms_raw, index)
     try:
         partition = Partition(atoms)
     except ValueError as e:
@@ -166,14 +158,82 @@ def parse_scenario(raw) -> Scenario:
             raise ScenarioError(
                 f"position {label!r} must list one value per state ({len(names)} values)"
             )
-        for j, v in enumerate(values):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
+        values = _position_values(label, values)
         try:
-            positions[label] = RandomVariable([_float(v) for v in values])
+            positions[label] = RandomVariable(values)
         except ValueError as e:
             raise ScenarioError(f"position {label!r}: {e}") from None
     return Scenario(space=space, partition=partition, positions=positions, raw=raw)
+
+
+# the types a JSON number decodes to; bool, an int subclass, is not a number here
+_NUMBERS = {float, int}
+
+
+def _states(states: list):
+    """The state names and probabilities of a nonempty list of state entries."""
+    if set(map(type, states)) <= {dict}:
+        try:
+            names = list(map(operator.itemgetter("name"), states))
+            probs = list(map(operator.itemgetter("prob"), states))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, names)) <= {str} and all(names) and set(map(type, probs)) <= _NUMBERS:
+                try:
+                    return names, np.array(probs, dtype=float)
+                except OverflowError:  # an integer beyond float range, read by _float
+                    pass
+    names = []
+    probs = []
+    for pos, entry in enumerate(states):
+        if not isinstance(entry, dict) or "name" not in entry or "prob" not in entry:
+            raise ScenarioError(f"states[{pos}] must be an object with 'name' and 'prob'")
+        name = entry["name"]
+        prob = entry["prob"]
+        if not isinstance(name, str) or not name:
+            raise ScenarioError(f"states[{pos}].name must be a nonempty string")
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+            raise ScenarioError(f"states[{pos}].prob must be a number, got {prob!r}")
+        names.append(name)
+        probs.append(_float(prob))
+    return names, probs
+
+
+def _atoms(atoms_raw: list, index: dict):
+    """Each atom's state indices, looked up by name in ``index``."""
+    members = itertools.chain.from_iterable
+    if (set(map(type, atoms_raw)) <= {list} and all(atoms_raw)
+            and set(map(type, members(atoms_raw))) <= {str}):
+        try:
+            order = np.fromiter(map(index.__getitem__, members(atoms_raw)), np.intp)
+        except KeyError:
+            pass
+        else:
+            bounds = itertools.accumulate(map(len, atoms_raw), initial=0)
+            return [order[lo:hi] for lo, hi in itertools.pairwise(bounds)]
+    atoms = []
+    for pos, atom in enumerate(atoms_raw):
+        if not isinstance(atom, list) or not atom:
+            raise ScenarioError(f"atoms[{pos}] must be a nonempty list of state names")
+        for member in atom:
+            if not isinstance(member, str) or member not in index:
+                raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
+        atoms.append([index[member] for member in atom])
+    return atoms
+
+
+def _position_values(label, values: list):
+    """The entries of position ``label`` as floats."""
+    if set(map(type, values)) <= _NUMBERS:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond float range, read by _float
+            pass
+    for j, v in enumerate(values):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
+    return [_float(v) for v in values]
 
 
 def _get_position(scenario: Scenario, label: str) -> RandomVariable:
@@ -193,12 +253,62 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_float(x: float) -> str:
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# how json.dumps writes each scalar type; bool, an int subclass, is not one here
+_JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__}
+
+
+def _json_nested(value, depth: int) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it ``depth`` levels
+    deep: its own lines indented by ``depth`` levels (escaped strings hold no
+    line break, so every line break is one of the layout's)."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_lines(items: list, depth: int, brackets: str) -> str:
+    """Written items between ``brackets`` ("{}" or "[]"), one per line, as
+    ``json.dumps(..., indent=2)`` lays out a container ``depth`` levels deep."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _json_report(rows, echo, command: str) -> str:
+    """``json.dumps(doc, indent=2)`` of ``doc = {"command": command, "rows":
+    rows}``, plus ``"scenario": echo`` when echo is given, for rows that are
+    objects with str keys.  Scalars are written here, which spares the
+    encoder's Python calls per value; nested values go through json.dumps."""
+    scalar = _JSON_SCALARS.get
+    written = [
+        _json_lines(
+            [
+                f"{encode_basestring_ascii(k)}: "
+                f"{write(v) if (write := scalar(type(v))) else _json_nested(v, 3)}"
+                for k, v in row.items()
+            ],
+            2,
+            "{}",
+        )
+        for row in rows
+    ]
+    fields = [
+        f'"command": {encode_basestring_ascii(command)}',
+        f'"rows": {_json_lines(written, 1, "[]")}',
+    ]
+    if echo is not None:
+        fields.append(f'"scenario": {_json_nested(echo, 1)}')
+    return _json_lines(fields, 0, "{}")
+
+
 def _emit(rows, fmt: str, echo, command: str) -> str:
     if fmt == "json":
-        doc = {"command": command, "rows": rows}
-        if echo is not None:
-            doc["scenario"] = echo
-        return json.dumps(doc, indent=2) + "\n"
+        return _json_report(rows, echo, command) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from condrisk import (
     RandomVariable,
     embed,
 )
-from condrisk.cli import Scenario, ScenarioError, _float
+from condrisk.cli import Scenario, ScenarioError
 from condrisk.niveloid import _eval
 from condrisk.probspace import _check_pair, _check_rv
 
@@ -162,6 +163,15 @@ def niveloidify_bruteforce(
             climbing,
         )
     return ConditionalValue(best)
+
+
+def _float(v) -> float:
+    """float(v), with an integer beyond float range read as the literal 1e400
+    (or -1e400) reads: an infinity, which the finiteness checks then reject."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def parse_scenario_reference(raw) -> Scenario:

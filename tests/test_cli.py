@@ -1,6 +1,7 @@
 """End-to-end command-line tests: parsing, formats, exit codes, and
 byte determinism."""
 
+import collections
 import csv
 import io
 import json
@@ -15,8 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condrisk import SolverError, cli
+from condrisk.cli import ScenarioError
+from oracles import parse_scenario_reference
 
 PAYOFF = [0.0, math.log(4.0), 0.5]
 
@@ -535,3 +540,232 @@ class TestExitCodes:
         )
         assert code == 4
         assert "gap:kl" in out
+
+
+# ---------------------------------------------------------------------------
+# the scenario parser against its per-entry reference
+
+
+def _pick(draw, items):
+    return draw(st.integers(0, len(items) - 1)) if items else None
+
+
+def _listed(doc, key):
+    """doc[key] if an earlier fault left it a list, else an empty list."""
+    items = doc[key]
+    return items if isinstance(items, list) else []
+
+
+def _state_entry(draw, doc):
+    """Some state entry that is still an object, or None."""
+    entries = [e for e in _listed(doc, "states") if isinstance(e, dict)]
+    return entries[_pick(draw, entries)] if entries else None
+
+
+def _fault_entry(draw, doc):
+    states = _listed(doc, "states")
+    if states:
+        states[_pick(draw, states)] = draw(st.sampled_from([[], "a", None, 1, ["name", "prob"]]))
+
+
+def _fault_key(draw, doc):
+    entry = _state_entry(draw, doc)
+    if entry is not None:
+        entry.pop(draw(st.sampled_from(["name", "prob"])), None)
+
+
+def _fault_name(draw, doc):
+    entry = _state_entry(draw, doc)
+    if entry is not None:
+        entry["name"] = draw(st.sampled_from(["", 0, None, ["a"], b"a", True]))
+
+
+def _fault_prob(draw, doc):
+    entry = _state_entry(draw, doc)
+    if entry is not None:
+        prob = entry.get("prob")
+        same = np.float64(prob if type(prob) is float else 0.5)  # passes isinstance(float)
+        entry["prob"] = draw(st.sampled_from(
+            [True, False, "0.5", None, 10**400, -(10**400), 2**64 + 1, math.nan, math.inf,
+             -math.inf, same, 0, -0.5]
+        ))
+
+
+def _fault_duplicate(draw, doc):
+    first, second = _state_entry(draw, doc), _state_entry(draw, doc)
+    if first is not None and second is not None and "name" in second:
+        first["name"] = second["name"]
+
+
+def _fault_subclass(draw, doc):
+    # subclasses of the JSON types, passed from Python, still pass isinstance
+    entry = _state_entry(draw, doc)
+    if entry is not None:
+        if isinstance(entry.get("name"), str):
+            entry["name"] = np.str_(entry["name"])
+        doc["states"][doc["states"].index(entry)] = collections.OrderedDict(entry)
+    atoms = _listed(doc, "atoms")
+    k = _pick(draw, atoms)
+    if k is not None and isinstance(atoms[k], list):
+        atoms[k] = [np.str_(m) if isinstance(m, str) else m for m in atoms[k]]
+
+
+def _fault_atom(draw, doc):
+    atoms = _listed(doc, "atoms")
+    k = _pick(draw, atoms)
+    if k is None:
+        return
+    kind = draw(st.sampled_from(["empty", "extra empty", "tuple", "string"]))
+    if kind == "empty":
+        atoms[k] = []
+    elif kind == "extra empty":
+        atoms.insert(k, [])
+    elif kind == "tuple":
+        atoms[k] = tuple(atoms[k]) if isinstance(atoms[k], list) else atoms[k]
+    else:
+        atoms[k] = "a"
+
+
+def _fault_member(draw, doc):
+    lists = [a for a in _listed(doc, "atoms") if isinstance(a, list) and a]
+    if not lists:
+        return
+    atom = lists[_pick(draw, lists)]
+    j = _pick(draw, atom)
+    kind = draw(st.sampled_from(["replace", "repeat", "drop"]))
+    if kind == "replace":
+        atom[j] = draw(st.sampled_from(["\x00unknown", 0, None, ["a"], {"a": 1}, 1.5, True]))
+    elif kind == "repeat":
+        other = lists[_pick(draw, lists)]
+        other.append(atom[j])
+    else:
+        del atom[j]  # leaves a state uncovered
+
+
+def _fault_position(draw, doc):
+    positions = doc["positions"]
+    if not isinstance(positions, dict) or not positions:
+        return
+    label = draw(st.sampled_from(sorted(positions)))
+    values = positions[label]
+    kind = draw(st.sampled_from(["entry", "entry", "longer", "shorter", "tuple"]))
+    if kind == "entry" and isinstance(values, list) and values:
+        values[_pick(draw, values)] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**70, "1", None, True,
+             [1.0], np.float64(2.5)]
+        ))
+    elif kind == "longer" and isinstance(values, list):
+        values.append(0.0)
+    elif kind == "shorter" and isinstance(values, list):
+        values.pop()
+    elif kind == "tuple":
+        positions[label] = tuple(values)
+
+
+def _fault_top(draw, doc):
+    key = draw(st.sampled_from(["states", "atoms", "positions"]))
+    doc[key] = draw(st.sampled_from([None, [], {}, "x"]))
+
+
+FAULTS = [
+    _fault_entry, _fault_key, _fault_name, _fault_prob, _fault_duplicate, _fault_subclass,
+    _fault_atom, _fault_member, _fault_position, _fault_top,
+]
+
+
+@st.composite
+def scenario_docs(draw):
+    """A valid decoded scenario, then up to three faults in it."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    number = st.floats(-1e6, 1e6) | st.integers(-(10**6), 10**6)
+    labels = draw(st.lists(st.text(max_size=2), min_size=1, max_size=3, unique=True))
+    doc = {
+        "states": [{"name": s, "prob": w / sum(weights)} for s, w in zip(names, weights)],
+        "atoms": [[names[i] for i in perm[lo:hi]] for lo, hi in zip(bounds, bounds[1:])],
+        "positions": {
+            label: draw(st.lists(number, min_size=n, max_size=n)) for label in labels
+        },
+    }
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        draw(st.sampled_from(FAULTS))(draw, doc)
+    return doc
+
+
+def parse_outcome(parse, doc):
+    """Everything a parser builds from ``doc``, bit for bit, or its error text."""
+    try:
+        s = parse(doc)
+    except ScenarioError as e:
+        return str(e)
+    positions = [(label, rv.values.tobytes()) for label, rv in s.positions.items()]
+    return s.space.state_names, s.space.probs.tobytes(), s.partition.atoms, positions
+
+
+SEVERAL_FAULTS = {
+    "states": [{"name": "a", "prob": 0.5}, {"name": "", "prob": 0.25}, {"name": "c", "prob": "x"}],
+    "atoms": [["a"], [], ["zz"]],
+    "positions": {"x": [0.0, None, 1.0], "y": [1.0]},
+}
+
+
+class TestParserMatchesReference:
+    @given(scenario_docs())
+    @example({"states": [{"name": "a", "prob": 10**400}], "atoms": [["a"]]})
+    @example({"states": [{"name": "a", "prob": np.float64(1.0)}], "atoms": [["a"]],
+              "positions": {"x": [np.float64(2.0)]}})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a"]],
+              "positions": {"x": [-(10**400)], "y": ["1"]}})
+    @example({"states": [{"name": "a", "prob": True}], "atoms": [["a"]]})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a"]], "positions": {"x": [False]}})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [[["a"]]]})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a", "a"]]})
+    @example(SEVERAL_FAULTS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_scenario_or_same_error(self, doc):
+        assert parse_outcome(cli.parse_scenario, doc) == parse_outcome(parse_scenario_reference, doc)
+
+    def test_several_faults_report_the_first_in_document_order(self):
+        with pytest.raises(ScenarioError, match=r"^states\[1\]\.name must be a nonempty string$"):
+            cli.parse_scenario(SEVERAL_FAULTS)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+SPECIAL_STRINGS = ['say "hi"', "back\\slash", "\x00\x1f\n\t\r\x7f", "é", "\U0001d11e", "\ud800"]
+SCALARS = (
+    st.floats() | st.sampled_from(SPECIAL_FLOATS) | st.text() | st.sampled_from(SPECIAL_STRINGS)
+    | st.integers() | st.sampled_from([10**400, -(2**70)]) | st.booleans() | st.none()
+    | st.builds(np.float64, st.floats())
+)
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | st.integers() | st.floats() | st.booleans(), inner, max_size=3),
+    max_leaves=8,
+)
+ROWS = st.lists(st.dictionaries(st.text(max_size=5), SCALARS | NESTED, max_size=7), max_size=4)
+
+
+class TestJsonWriter:
+    @given(ROWS, st.none() | NESTED, st.text() | st.sampled_from(SPECIAL_STRINGS))
+    @example([], None, "oce")
+    @example([], {"states": [], "atoms": {}}, "check")
+    @example(
+        [{"value": x, "note": s, "iterations": 10**400, "counterexample": {"x": [], "a": {}}}
+         for x, s in zip(SPECIAL_FLOATS, SPECIAL_STRINGS)],
+        {"states": [{"name": "a", "prob": 1.0}], "positions": {"x": [True, None, [[]]]}},
+        "check",
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_report_is_what_json_dumps_writes(self, rows, echo, command):
+        doc = {"command": command, "rows": rows}
+        if echo is not None:
+            doc["scenario"] = echo
+        assert cli._emit(rows, "json", echo, command) == json.dumps(doc, indent=2) + "\n"
