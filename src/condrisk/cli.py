@@ -17,9 +17,14 @@ positions-style weight vector) and ``check`` (niveloid axiom sampling for a
 named operator).
 
 Exit codes: 0 success, 2 input or usage errors, 3 a solver missed its
-tolerance, 4 the duality gap exceeded its threshold.  Reports go to stdout
-as an aligned table, JSON, or CSV; identical invocations produce
-byte-identical output.  Each command takes only the options it reads (see
+tolerance, 4 the duality gap exceeded its threshold.  A malformed scenario
+is reported by its first offending entry in document order (states, then
+atoms, then positions).  Exit 2 covers numbers outside float range too: an
+integer such as 1 followed by 400 zeros reads as the literal 1e400 would,
+as an infinity, which no probability or position may hold.
+
+Reports go to stdout as an aligned table, JSON, or CSV; identical
+invocations produce byte-identical output.  Each command takes only the options it reads (see
 ``COMMANDS``); ``oce``, ``dual`` and ``gap`` read ``--tol``, whose default the
 ``CONDRISK_TOL`` environment variable replaces when the flag is not given.
 """
