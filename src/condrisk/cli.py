@@ -25,8 +25,9 @@ as an infinity, which no probability or position may hold.
 
 Reports go to stdout as an aligned table, JSON, or CSV; identical
 invocations produce byte-identical output.  Each command takes only the options it reads (see
-``COMMANDS``); ``oce``, ``dual`` and ``gap`` read ``--tol``, whose default the
-``CONDRISK_TOL`` environment variable replaces when the flag is not given.
+``COMMANDS``); ``oce``, ``dual`` and ``gap`` read ``--tol``, and without it use
+their command's default, :data:`condrisk.oce.DEFAULT_TOL` or the gap threshold
+``DEFAULT_GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import itertools
 import json
 import math
 import operator
-import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -61,7 +61,7 @@ from .niveloid import (
     iphi_operator,
     squared_expectation_operator,
 )
-from .oce import entropic_risk, oce_primal
+from .oce import DEFAULT_TOL, entropic_risk, oce_primal
 from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
@@ -72,12 +72,18 @@ EXIT_INPUT = 2
 EXIT_RESIDUAL = 3
 EXIT_GAP = 4
 
-DEFAULT_SOLVER_TOL = 1e-10
 DEFAULT_GAP_TOL = 1e-6
 
 COLUMNS = ("atom", "quantity", "value", "residual", "iterations", "note")
 
-OPERATOR_NAMES = "expectation, entropic, min, sq-expectation, iphi:<generator>"
+# the operators ``check`` builds from (space, partition) alone, by name
+OPERATORS = {
+    "expectation": expectation_operator,
+    "entropic": entropic_operator,
+    "min": atom_min_operator,
+    "sq-expectation": squared_expectation_operator,
+}
+OPERATOR_NAMES = ", ".join([*OPERATORS, "iphi:<generator>"])
 
 
 class ScenarioError(ValueError):
@@ -97,12 +103,21 @@ def load_scenario(path: str) -> Scenario:
     offending field spelled out."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_parse_int)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file {path!r}: {e}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario file {path!r} is not valid JSON: {e}") from None
     return parse_scenario(raw)
+
+
+def _parse_int(s: str):
+    """int(s), or float(s) for an integer literal too long for Python to
+    convert (an infinity, as the literal 1e5000 would read)."""
+    try:
+        return int(s)
+    except ValueError:
+        return float(s)
 
 
 def _float(v) -> float:
@@ -343,14 +358,8 @@ def _row(atom, quantity, value, residual, iterations, note=""):
 
 def _operator_from_name(name: str, scenario: Scenario):
     space, g = scenario.space, scenario.partition
-    if name == "expectation":
-        return expectation_operator(space, g)
-    if name == "entropic":
-        return entropic_operator(space, g)
-    if name == "min":
-        return atom_min_operator(space, g)
-    if name == "sq-expectation":
-        return squared_expectation_operator(space, g)
+    if name in OPERATORS:
+        return OPERATORS[name](space, g)
     if name.startswith("iphi:"):
         gen = builtin_generator(name.split(":", 1)[1])
         return iphi_operator(space, g, gen)
@@ -373,17 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tol(args, default: float) -> float:
-    if args.tol is not None:
-        tol = args.tol
-    else:
-        env = os.environ.get("CONDRISK_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise ScenarioError(f"CONDRISK_TOL must be a number, got {env!r}") from None
-        else:
-            tol = default
+    tol = default if args.tol is None else args.tol
     if not (tol > 0.0) or not np.isfinite(tol):
         raise ScenarioError(f"tolerance must be a positive finite number, got {tol!r}")
     return float(tol)
@@ -425,7 +424,7 @@ def _solve_dual(space, g, gen, x, tol):
 
 
 def _solve_gap(space, g, gen, x, threshold):
-    gaps, sol = _gap_and_dual(space, g, gen, x, min(DEFAULT_SOLVER_TOL, threshold / 10.0))
+    gaps, sol = _gap_and_dual(space, g, gen, x, min(DEFAULT_TOL, threshold / 10.0))
     return gaps, np.full(g.num_atoms, threshold), sol
 
 
@@ -499,9 +498,9 @@ class Command:
 SEARCH_OPTIONS = ("position", "divergence", "tol")
 COMMANDS = {
     "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS, _solve_oce,
-                   note="optimal_a", tol=DEFAULT_SOLVER_TOL),
+                   note="optimal_a", tol=DEFAULT_TOL),
     "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS, _solve_dual,
-                    note="multiplier", tol=DEFAULT_SOLVER_TOL),
+                    note="multiplier", tol=DEFAULT_TOL),
     "gap": Command("duality gap self-check per atom", SEARCH_OPTIONS, _solve_gap,
                    note="threshold", tol=DEFAULT_GAP_TOL, held=("value", EXIT_GAP)),
     "entropic": Command(

@@ -51,7 +51,6 @@ __all__ = [
     "ConditionalDensity",
     "EquivalentConditionalMeasure",
     "builtin_generator",
-    "generator_from_phi",
     "validate_generator",
     "numeric_conjugate",
     "check_density",
@@ -86,20 +85,24 @@ class DivergenceGenerator:
     ``phi``, ``phi_star`` and ``phi_star_prime`` accept scalars or numpy
     arrays.  ``phi_star_prime`` is the nondecreasing right derivative of the
     conjugate (equivalently the argmax t of m t - phi(t)); it is what the
-    certainty-equivalent solvers search on.  When it is omitted or None it is
-    synthesized from phi as that argmax, found by one direct maximization
-    over all the arguments of a call, so every generator carries one.
+    certainty-equivalent solvers search on.  Either conjugate function that
+    is omitted or None is synthesized from phi by one direct maximization of
+    m t - phi(t) over all the arguments of a call: ``phi_star`` as the
+    maximum (raising :class:`condrisk.scalar_opt.UnboundedObjective` where it
+    is unbounded) and ``phi_star_prime`` as the maximizing t.  So
+    ``DivergenceGenerator(name, phi)`` is a complete generator.
     ``phi_prime`` is the right derivative of phi on (0, inf) and may be None
     for generators defined only through phi.
     """
 
     name: str
     phi: Callable
-    phi_star: Callable
+    phi_star: Optional[Callable] = None
     phi_star_prime: Optional[Callable] = None
     phi_prime: Optional[Callable] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "phi_star", self.phi_star or partial(_conjugate, self.phi))
         object.__setattr__(self, "phi_star_prime", self.phi_star_prime or partial(_numeric_argmax, self.phi))
 
 
@@ -240,22 +243,6 @@ def numeric_conjugate(gen: DivergenceGenerator, m):
     violating superlinear growth.
     """
     return _conjugate(gen.phi, m)
-
-
-def generator_from_phi(
-    name: str,
-    phi: Callable,
-    phi_prime: Optional[Callable] = None,
-) -> DivergenceGenerator:
-    """Wrap a user-supplied phi, synthesizing the conjugate numerically.
-
-    ``phi_star`` is the bracketed maximum of m t - phi(t) and
-    ``phi_star_prime`` its maximizing t (the envelope derivative), so both
-    stay consistent with each other by construction.
-    """
-    return DivergenceGenerator(
-        name=str(name), phi=phi, phi_star=partial(_conjugate, phi), phi_prime=phi_prime
-    )
 
 
 def validate_generator(gen: DivergenceGenerator) -> None:

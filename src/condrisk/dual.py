@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import ConditionalDensity, DivergenceGenerator
-from .oce import _atom_searches, _oce_value
+from .oce import DEFAULT_TOL, _atom_searches, _oce_value
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -60,7 +60,7 @@ def oce_dual(
     g: Partition,
     gen: DivergenceGenerator,
     x: RandomVariable,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> DualSolution:
     """Minimize the penalized expectation atom by atom.
 
@@ -108,7 +108,7 @@ def duality_gap(
     g: Partition,
     gen: DivergenceGenerator,
     x: RandomVariable,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> ConditionalValue:
     """Absolute difference between primal and dual values, per atom.
 

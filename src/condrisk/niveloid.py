@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divergence import ConditionalDensity, DivergenceGenerator, check_density
-from .oce import _check_tol, entropic_risk, i_phi
+from .oce import DEFAULT_TOL, _check_tol, entropic_risk, i_phi
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -108,7 +108,7 @@ def niveloidify(
     g: Partition,
     op: ConditionalOperator,
     x: RandomVariable,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> ConditionalValue:
     """Translation completion sup_a ( a + op(x - a) ), searched on all atoms at once.
 

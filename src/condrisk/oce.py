@@ -41,6 +41,10 @@ from .scalar_opt import bisect_nondecreasing
 
 __all__ = ["OceSolution", "oce_primal", "i_phi", "entropic_risk"]
 
+# the solver tolerance wherever none is given, in the library and the CLI
+DEFAULT_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OceSolution:
     """Per-atom certainty equivalents with solver diagnostics.
@@ -131,7 +135,7 @@ def oce_primal(
     g: Partition,
     gen: DivergenceGenerator,
     x: RandomVariable,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> OceSolution:
     """Maximize a - E[phi_star(a - x) | G] atom by atom.
 

@@ -26,6 +26,7 @@ multiple threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -273,6 +274,19 @@ class Partition:
         return cls(np.arange(num_states)[:, None])
 
 
+def _elementwise(op, reflected=False):
+    """The method applying ``op`` to a vector's values and the other operand
+    (``op(other, values)`` when ``reflected``), as a vector of the same kind."""
+
+    def apply(self, other):
+        ov = self._coerce(other)
+        if ov is NotImplemented:
+            return NotImplemented
+        return type(self)(op(ov, self.values) if reflected else op(self.values, ov))
+
+    return apply
+
+
 class _VectorBase:
     """Shared elementwise arithmetic for state- and atom-indexed vectors.
 
@@ -295,42 +309,16 @@ class _VectorBase:
             return float(other)
         return NotImplemented
 
-    def __add__(self, other):
-        ov = self._coerce(other)
-        if ov is NotImplemented:
-            return NotImplemented
-        return type(self)(self.values + ov)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        ov = self._coerce(other)
-        if ov is NotImplemented:
-            return NotImplemented
-        return type(self)(self.values - ov)
-
-    def __rsub__(self, other):
-        ov = self._coerce(other)
-        if ov is NotImplemented:
-            return NotImplemented
-        return type(self)(ov - self.values)
-
-    def __mul__(self, other):
-        ov = self._coerce(other)
-        if ov is NotImplemented:
-            return NotImplemented
-        return type(self)(self.values * ov)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _elementwise(operator.add)
+    __sub__ = _elementwise(operator.sub)
+    __rsub__ = _elementwise(operator.sub, reflected=True)
+    __mul__ = __rmul__ = _elementwise(operator.mul)
 
     def __neg__(self):
         return type(self)(-self.values)
 
     def __len__(self) -> int:
         return self.values.size
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.values.tolist()})"
 
 
 @dataclass(frozen=True, eq=False)

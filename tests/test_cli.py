@@ -223,6 +223,19 @@ class TestCommands:
         assert rows["axiom:monotonicity"]["note"] == "pass"
         assert rows["axiom:concavity"]["note"] == "pass"
 
+    @pytest.mark.parametrize("operator", ["expectation", "min"])
+    def test_check_niveloids_pass_every_axiom(self, capsys, scenario_file, operator):
+        code, out, err = run_cli(
+            capsys, ["check", scenario_file, "--operator", operator, "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [r["quantity"] for r in rows] == [
+            "axiom:translation_invariance", "axiom:monotonicity", "axiom:concavity",
+            "axiom:locality", "axiom:regularity", "axiom:lipschitz",
+        ]
+        assert all(r["note"] == "pass" and r["iterations"] == 50 for r in rows)
+
     def test_check_table_omits_counterexamples(self, capsys, scenario_file):
         code, out, _ = run_cli(capsys, ["check", scenario_file, "--operator", "sq-expectation"])
         assert code == 0
@@ -312,29 +325,15 @@ class TestTolerances:
         assert code == 0
         assert json.loads(out)["rows"][0]["note"] == "threshold=0.0001"
 
-    def test_environment_tolerance(self, capsys, scenario_file, monkeypatch):
-        monkeypatch.setenv("CONDRISK_TOL", "2.5e-7")
-        code, out, _ = run_cli(
-            capsys, ["gap", scenario_file, "--position", "payoff", "--format", "json"]
-        )
-        assert code == 0
-        assert json.loads(out)["rows"][0]["note"] == "threshold=2.5e-07"
-
-    def test_flag_beats_environment(self, capsys, scenario_file, monkeypatch):
-        monkeypatch.setenv("CONDRISK_TOL", "2.5e-7")
-        code, out, _ = run_cli(
-            capsys,
-            ["gap", scenario_file, "--position", "payoff", "--tol", "1e-3",
-             "--format", "json"],
-        )
-        assert code == 0
-        assert json.loads(out)["rows"][0]["note"] == "threshold=0.001"
-
-    def test_bad_environment_tolerance(self, capsys, scenario_file, monkeypatch):
-        monkeypatch.setenv("CONDRISK_TOL", "not-a-number")
-        code, _, err = run_cli(capsys, ["oce", scenario_file, "--position", "payoff"])
-        assert code == 2
-        assert "CONDRISK_TOL" in err
+    def test_environment_does_not_set_the_tolerance(self, capsys, scenario_file, monkeypatch):
+        # CONDRISK_TOL is no setting: a stale value in the environment must not change results
+        for value in ("2.5e-7", "not-a-number"):
+            monkeypatch.setenv("CONDRISK_TOL", value)
+            code, out, _ = run_cli(
+                capsys, ["gap", scenario_file, "--position", "payoff", "--format", "json"]
+            )
+            assert code == 0
+            assert json.loads(out)["rows"][0]["note"] == "threshold=1e-06"
 
     def test_nonpositive_tolerance(self, capsys, scenario_file):
         code, _, err = run_cli(
@@ -450,6 +449,67 @@ class TestExitCodes:
             got = np.array([float(sign + "inf"), 1.0])
             message = f"position 'x': random variable must be finite, got {got!r}"
             assert err == f"condrisk: error: {message}\n"
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("field", ["prob", "position"])
+    def test_integer_too_long_to_convert_reads_as_1e5000(self, capsys, tmp_path, field, sign):
+        # past 4 300 digits int() refuses the literal, which json.load once passed on
+        # as a message naming neither the file nor the entry
+        doc = {
+            "states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
+            "atoms": [["a", "b"]],
+            "positions": {"x": [0.0, 1.0]},
+        }
+        if field == "prob":
+            doc["states"][0]["prob"] = "HUGE"
+        else:
+            doc["positions"]["x"][0] = "HUGE"
+        path = tmp_path / "huge.json"
+        results = []
+        for literal in (sign + "1" + "0" * 5000, sign + "1e5000"):
+            path.write_text(json.dumps(doc).replace('"HUGE"', literal))
+            results.append(run_cli(capsys, ["oce", str(path), "--position", "x"]))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (2, "")
+        if field == "prob":
+            assert err == "condrisk: error: bad state probabilities: probabilities must be finite\n"
+        else:
+            got = np.array([float(sign + "inf"), 1.0])
+            assert err == f"condrisk: error: position 'x': random variable must be finite, got {got!r}\n"
+
+    def test_integers_within_the_limit_stay_integers(self, capsys, tmp_path):
+        doc = {"states": [{"name": "a", "prob": 1}], "atoms": [["a"]], "positions": {"x": [-3]}}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            capsys, ["oce", str(path), "--position", "x", "--format", "json", "--echo-input"]
+        )
+        assert code == 0
+        assert json.loads(out)["scenario"] == doc
+        assert '"prob": 1\n' in out and "\n        -3\n" in out
+
+    def test_scenario_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code, out, err = run_cli(capsys, ["oce", str(path), "--position", "x"])
+        assert (code, out) == (2, "")
+        assert err == "condrisk: error: scenario must be a JSON object\n"
+
+    def test_positions_that_are_not_an_object(self, capsys, tmp_path):
+        doc = {"states": [{"name": "a", "prob": 1.0}], "atoms": [["a"]], "positions": [[0.0]]}
+        path = tmp_path / "positions.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["oce", str(path), "--position", "x"])
+        assert (code, out) == (2, "")
+        assert err == "condrisk: error: 'positions' must be an object mapping labels to value lists\n"
+
+    def test_zero_samples(self, capsys, scenario_file):
+        code, out, err = run_cli(
+            capsys, ["check", scenario_file, "--operator", "entropic", "--samples", "0"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "condrisk: error: --samples must be at least 1, got 0\n"
 
     def test_atoms_must_cover_states(self, capsys, tmp_path):
         doc = {

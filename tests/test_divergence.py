@@ -2,6 +2,7 @@
 variational form of the conditional divergence."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from condrisk import (
     density_to_measure,
     donsker_varadhan_value,
     dv_optimal_argument,
-    generator_from_phi,
     measure_to_density,
     numeric_conjugate,
+    oce_dual,
+    oce_primal,
     validate_generator,
 )
+from condrisk.divergence import _conjugate
 from conftest import BUILTIN_NAMES, random_density, random_instance, random_measure
 
 
@@ -123,28 +126,64 @@ class TestNumericConjugate:
                 assert abs(direct - closed) <= 1e-8, (name, m, direct, closed)
 
     def test_linear_growth_is_flagged_unbounded(self):
-        gen = generator_from_phi("linear", lambda t: np.asarray(t, dtype=float) - 1.0)
+        gen = DivergenceGenerator("linear", lambda t: np.asarray(t, dtype=float) - 1.0)
         with pytest.raises(UnboundedObjective):
             numeric_conjugate(gen, 2.0)
 
 
 class TestGeneratorFromPhi:
     def test_synthesized_conjugate_matches_analytic(self):
-        gen = generator_from_phi("kl-numeric", kl_phi, phi_prime=np.log)
+        gen = DivergenceGenerator("kl-numeric", kl_phi, phi_prime=np.log)
         for m in np.linspace(-5.0, 5.0, 21):
             assert abs(float(gen.phi_star(m)) - math.expm1(m)) <= 1e-8
 
     def test_synthesized_derivative_is_the_argmax(self):
-        gen = generator_from_phi("kl-numeric", kl_phi)
+        gen = DivergenceGenerator("kl-numeric", kl_phi)
         for m in np.linspace(-3.0, 3.0, 13):
             t_star = float(gen.phi_star_prime(m))
             assert abs(t_star - math.exp(m)) <= 1e-5 * (1.0 + math.exp(m))
 
     def test_array_arguments(self):
-        gen = generator_from_phi("kl-numeric", kl_phi)
+        gen = DivergenceGenerator("kl-numeric", kl_phi)
         m = np.array([-1.0, 0.0, 1.0])
         out = np.asarray(gen.phi_star(m))
         np.testing.assert_allclose(out, np.expm1(m), atol=1e-8)
+
+    @pytest.mark.parametrize("phi_prime", [None, np.log])
+    def test_synthesized_conjugate_is_the_explicit_direct_maximization(self, phi_prime):
+        # DivergenceGenerator(name, phi) against phi_star passed explicitly as
+        # the direct maximization: bit-identical conjugates and solutions
+        phi = builtin_generator("kl").phi
+        built = DivergenceGenerator("kl-numeric", phi, phi_prime=phi_prime)
+        explicit = DivergenceGenerator(
+            "kl-numeric", phi, phi_star=partial(_conjugate, phi), phi_prime=phi_prime
+        )
+        m = np.linspace(-4.0, 4.0, 17)
+        for f in ("phi_star", "phi_star_prime"):
+            np.testing.assert_array_equal(getattr(built, f)(m), getattr(explicit, f)(m))
+            assert getattr(built, f)(1.5) == getattr(explicit, f)(1.5)
+        space, g, x = random_instance(np.random.default_rng(41), max_states=8)
+        for solve in (oce_primal, oce_dual):
+            a, b = solve(space, g, built, x), solve(space, g, explicit, x)
+            for f in ("value", "optimal_a" if solve is oce_primal else "multiplier"):
+                np.testing.assert_array_equal(getattr(a, f).values, getattr(b, f).values)
+            np.testing.assert_array_equal(a.residuals, b.residuals)
+            assert a.iterations == b.iterations
+        assert validate_generator(built) is None and validate_generator(explicit) is None
+
+    def test_synthesized_conjugate_flags_linear_growth_as_the_explicit_one(self):
+        def phi(t):
+            return np.asarray(t, dtype=float) - 1.0
+
+        messages = []
+        for gen in (DivergenceGenerator("linear", phi),
+                    DivergenceGenerator("linear", phi, phi_star=partial(_conjugate, phi))):
+            with pytest.raises(UnboundedObjective) as err:
+                gen.phi_star(2.0)
+            with pytest.raises(ValueError, match="phi must be nonnegative") as invalid:
+                validate_generator(gen)
+            messages.append((str(err.value), str(invalid.value)))
+        assert messages[0] == messages[1]
 
 
 class TestValidateGenerator:
@@ -156,26 +195,46 @@ class TestValidateGenerator:
         kl = builtin_generator("kl")
         # phi_star' omitted: synthesized from phi as the argmax of m t - phi(t)
         stripped = DivergenceGenerator(name="kl-stripped", phi=kl.phi, phi_star=kl.phi_star)
-        for gen in (generator_from_phi("kl-numeric", kl_phi), stripped):
+        for gen in (DivergenceGenerator("kl-numeric", kl_phi), stripped):
             validate_generator(gen)
 
+    def test_rejects_nonfinite_phi(self):
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t > 0.0, (t - 1.0) ** 2, np.inf)
+
+        with pytest.raises(ValueError, match=r"^pole: phi must be finite on \[0, inf\), got non-finite values$"):
+            validate_generator(DivergenceGenerator("pole", phi))
+
+    def test_rejects_negative_phi(self):
+        bad = DivergenceGenerator("cubic", lambda t: (np.asarray(t, dtype=float) - 1.0) ** 3)
+        with pytest.raises(ValueError, match="^cubic: phi must be nonnegative$"):
+            validate_generator(bad)
+
+    def test_rejects_conjugate_off_zero_at_the_origin(self):
+        # within CONJ_TOL of the direct maximization, but phi_star(0) != 0
+        kl = builtin_generator("kl")
+        bad = DivergenceGenerator("lifted", kl.phi, phi_star=lambda m: np.expm1(m) + 5e-9)
+        with pytest.raises(ValueError, match=r"^lifted: phi_star\(0\) must be 0$"):
+            validate_generator(bad)
+
     def test_rejects_wrong_normalization(self):
-        bad = generator_from_phi("shifted", lambda t: (np.asarray(t) - 1.0) ** 2 + 0.1)
+        bad = DivergenceGenerator("shifted", lambda t: (np.asarray(t) - 1.0) ** 2 + 0.1)
         with pytest.raises(ValueError, match=r"phi\(1\) must be 0"):
             validate_generator(bad)
 
     def test_rejects_nonconvex(self):
-        bad = generator_from_phi("capped", lambda t: np.minimum((np.asarray(t) - 1.0) ** 2, 1.0))
+        bad = DivergenceGenerator("capped", lambda t: np.minimum((np.asarray(t) - 1.0) ** 2, 1.0))
         with pytest.raises(ValueError, match="not convex"):
             validate_generator(bad)
 
     def test_rejects_merely_convex(self):
-        bad = generator_from_phi("abs", lambda t: np.abs(np.asarray(t) - 1.0))
+        bad = DivergenceGenerator("abs", lambda t: np.abs(np.asarray(t) - 1.0))
         with pytest.raises(ValueError, match="strictly convex"):
             validate_generator(bad)
 
     def test_rejects_sublinear_growth(self):
-        bad = generator_from_phi("hellinger", lambda t: (np.sqrt(np.asarray(t)) - 1.0) ** 2)
+        bad = DivergenceGenerator("hellinger", lambda t: (np.sqrt(np.asarray(t)) - 1.0) ** 2)
         with pytest.raises(ValueError, match="at most linear"):
             validate_generator(bad)
 
@@ -223,6 +282,27 @@ def uniform_space(n):
 
 
 class TestDensitiesAndMeasures:
+    def test_measure_rejects_negative(self):
+        with pytest.raises(ValueError, match="^measure weights must be nonnegative$"):
+            EquivalentConditionalMeasure([1.5, -0.5])
+
+    def test_reprs_list_the_entries(self):
+        assert repr(ConditionalDensity([1.0, 0.5])) == "ConditionalDensity([1.0, 0.5])"
+        assert repr(EquivalentConditionalMeasure([0.25, 0.75])) == (
+            "EquivalentConditionalMeasure([0.25, 0.75])"
+        )
+
+    def test_length_mismatches(self):
+        space, g = uniform_space(3), Partition.trivial(3)
+        x = RandomVariable([1.0, 2.0, 3.0])
+        nu = EquivalentConditionalMeasure([0.5, 0.5])
+        with pytest.raises(ValueError, match="^density has length 2, expected 3$"):
+            check_density(space, g, ConditionalDensity([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^measure has length 2, expected 3$"):
+            check_measure(space, g, nu)
+        with pytest.raises(ValueError, match="^measure has length 2, expected 3$"):
+            cond_expectation_under(space, g, nu, x)
+
     def test_density_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ConditionalDensity([1.5, -0.5])
@@ -407,7 +487,7 @@ class TestDonskerVaradhan:
         np.testing.assert_array_equal(z.values, 0.0)
 
     def test_requires_phi_prime(self):
-        gen = generator_from_phi("kl-numeric", kl_phi)  # no phi_prime supplied
+        gen = DivergenceGenerator("kl-numeric", kl_phi)  # no phi_prime supplied
         space = uniform_space(2)
         g = Partition.trivial(2)
         nu = EquivalentConditionalMeasure([0.6, 0.4])

@@ -1,5 +1,7 @@
 """Spaces, partitions, and exact conditional expectation / norms."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,43 @@ class TestVectorArithmetic:
         with pytest.raises(ValueError, match="finite"):
             ConditionalValue([np.nan])
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("kind, other_kind", [(RandomVariable, ConditionalValue),
+                                                  (ConditionalValue, RandomVariable)])
+    def test_every_operator_and_operand_kind(self, op, kind, other_kind):
+        u = np.array([1.5, -2.0, 0.25])
+        v = np.array([0.1, 3.0, -7.0])
+        x, y = kind(u), kind(v)
+        for out, expected in [(op(x, y), op(u, v)), (op(y, x), op(v, u))]:
+            assert type(out) is kind
+            np.testing.assert_array_equal(out.values, expected)
+        for r in (3, 2.5, np.float64(-0.5)):
+            for out, expected in [(op(x, r), op(u, float(r))), (op(r, x), op(float(r), u))]:
+                assert type(out) is kind
+                np.testing.assert_array_equal(out.values, expected)
+        for bad in (other_kind(v), "s"):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+        longer = kind([1.0, 2.0, 3.0, 4.0])
+        for a, b in [(x, longer), (longer, x)]:
+            with pytest.raises(ValueError, match="length mismatch: (3 vs 4|4 vs 3)"):
+                op(a, b)
+
+    def test_repr_is_the_dataclass_repr(self):
+        x, a = RandomVariable([1.0, -2.5]), ConditionalValue([0.5])
+        assert repr(x) == f"RandomVariable(values={x.values!r})"
+        assert repr(a) == f"ConditionalValue(values={a.values!r})"
+
+    @pytest.mark.parametrize("values, message", [
+        ([[1.0, 2.0]], r"random variable must be a one-dimensional vector, got shape \(1, 2\)"),
+        ([], "random variable must be nonempty"),
+    ])
+    def test_rejects_values_that_are_not_a_nonempty_vector(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RandomVariable(values)
+
 
 # ---------------------------------------------------------------------------
 # conditional expectation
@@ -385,6 +424,11 @@ class TestEmbedRestrict:
     def test_embed_length_mismatch(self):
         with pytest.raises(ValueError, match="one per atom"):
             embed(Partition([[0, 1], [2]]), ConditionalValue([1.0, 2.0, 3.0]))
+
+    def test_restrict_length_mismatch(self):
+        g = Partition([[0, 1], [2]])
+        with pytest.raises(ValueError, match=r"^x and y must have length 3, got 2 and 3$"):
+            restrict_mask(g, 0, RandomVariable([1.0, 2.0]), RandomVariable([1.0, 2.0, 3.0]))
 
     def test_restrict_anchor(self):
         g = Partition([[0, 1], [2]])

@@ -51,6 +51,15 @@ class TestBisect:
         with pytest.raises(ValueError, match="invalid bracket"):
             bisect_nondecreasing(lambda x: x, 1.0, 0.0, xtol=1e-9)
 
+    @pytest.mark.parametrize("lo, hi, shapes", [
+        ([0.0, 0.0], [1.0, 1.0, 1.0], r"\(2,\) and \(3,\)"),
+        ([[0.0]], [[1.0]], r"\(1, 1\) and \(1, 1\)"),
+    ])
+    def test_brackets_of_unequal_or_nested_shape_raise(self, lo, hi, shapes):
+        message = f"^brackets must be scalars or equally long vectors, got {shapes}$"
+        with pytest.raises(ValueError, match=message):
+            bisect_nondecreasing(lambda x: x, lo, hi, xtol=1e-9)
+
     def test_nonfinite_value_raises(self):
         with pytest.raises(SolverError, match="non-finite"):
             bisect_nondecreasing(lambda x: math.nan, 0.0, 1.0, xtol=1e-9)
