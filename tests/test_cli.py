@@ -325,15 +325,35 @@ class TestTolerances:
         assert code == 0
         assert json.loads(out)["rows"][0]["note"] == "threshold=0.0001"
 
-    def test_environment_does_not_set_the_tolerance(self, capsys, scenario_file, monkeypatch):
-        # CONDRISK_TOL is no setting: a stale value in the environment must not change results
-        for value in ("2.5e-7", "not-a-number"):
-            monkeypatch.setenv("CONDRISK_TOL", value)
-            code, out, _ = run_cli(
-                capsys, ["gap", scenario_file, "--position", "payoff", "--format", "json"]
-            )
-            assert code == 0
-            assert json.loads(out)["rows"][0]["note"] == "threshold=1e-06"
+    # CONDRISK_TOL is no setting: a stale value in the environment must not change results
+
+    def test_environment_tolerance(self, capsys, scenario_file, monkeypatch):
+        monkeypatch.setenv("CONDRISK_TOL", "2.5e-7")
+        code, out, _ = run_cli(
+            capsys, ["gap", scenario_file, "--position", "payoff", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["note"] == "threshold=1e-06"
+
+    def test_flag_beats_environment(self, capsys, scenario_file, monkeypatch):
+        monkeypatch.setenv("CONDRISK_TOL", "2.5e-7")
+        code, out, _ = run_cli(
+            capsys,
+            ["gap", scenario_file, "--position", "payoff", "--tol", "1e-3",
+             "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["note"] == "threshold=0.001"
+
+    def test_bad_environment_tolerance(self, capsys, scenario_file, monkeypatch):
+        monkeypatch.setenv("CONDRISK_TOL", "not-a-number")
+        code, _, err = run_cli(capsys, ["oce", scenario_file, "--position", "payoff"])
+        assert (code, err) == (0, "")
+        code, out, _ = run_cli(
+            capsys, ["gap", scenario_file, "--position", "payoff", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["note"] == "threshold=1e-06"
 
     def test_nonpositive_tolerance(self, capsys, scenario_file):
         code, _, err = run_cli(
