@@ -52,7 +52,7 @@ from .divergence import (
     builtin_generator,
     cond_divergence,
 )
-from .dual import _gap_and_dual, oce_dual
+from .dual import _block_gap, oce_dual
 from .niveloid import (
     atom_min_operator,
     check_niveloid_axioms,
@@ -61,8 +61,8 @@ from .niveloid import (
     iphi_operator,
     squared_expectation_operator,
 )
-from .oce import DEFAULT_TOL, entropic_risk, oce_primal
-from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
+from .oce import DEFAULT_TOL, _solve, entropic_risk, oce_primal
+from .probspace import ConditionalValue, FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario", "main"]
@@ -413,19 +413,10 @@ def main(argv=None) -> int:
     return code
 
 
-def _solve_oce(space, g, gen, x, tol):
-    sol = oce_primal(space, g, gen, x, tol=tol)
-    return sol.value.values, sol.optimal_a.values, sol
-
-
-def _solve_dual(space, g, gen, x, tol):
-    sol = oce_dual(space, g, gen, x, tol=tol)
-    return sol.value.values, sol.multiplier.values, sol
-
-
 def _solve_gap(space, g, gen, x, threshold):
-    gaps, sol = _gap_and_dual(space, g, gen, x, min(DEFAULT_TOL, threshold / 10.0))
-    return gaps, np.full(g.num_atoms, threshold), sol
+    """The shared search valued by |primal - dual|, as :func:`duality_gap` gives
+    it, with the search's residuals and iterations."""
+    return _solve(space, g, gen, x, min(DEFAULT_TOL, threshold / 10.0), _block_gap)
 
 
 def _atom_rows(args, scenario: Scenario, command):
@@ -441,10 +432,14 @@ def _atom_rows(args, scenario: Scenario, command):
     else:
         x = _get_position(scenario, args.position)
     tol = _resolve_tol(args, command.tol) if "tol" in command.options else None
-    values, noted, sol = command.solve(scenario.space, scenario.partition, gen, x, tol)
+    sol = command.solve(scenario.space, scenario.partition, gen, x, tol)
     quantity = args.command if gen is None else f"{args.command}:{gen.name}"
-    zeros = np.zeros(len(values))
-    residuals, iterations = (zeros, zeros) if sol is None else (sol.residuals, sol.iterations)
+    if isinstance(sol, ConditionalValue):  # a closed form
+        values = sol.values
+        residuals = iterations = np.zeros(len(values))
+    else:
+        values, residuals, iterations = sol.value.values, sol.residuals, sol.iterations
+    noted = command.noted(sol, tol) if command.note else None
     rows = [
         _row(_atom_label(i), quantity, v, residuals[i], iterations[i],
              note=f"{command.note}={float(noted[i])!r}" if command.note else "")
@@ -480,35 +475,41 @@ class Command:
     ``COMMON_OPTIONS``, and ``rows(args, scenario, command)`` -> (rows, exit code).
 
     A per-atom command's ``solve(space, partition, generator, x, tol)`` gives
-    the values, the figures noted as ``<note>=`` and the solution holding
-    residuals and iterations (None for a closed form).  A command reading
-    ``--tol`` defaults it to ``tol``, and a row whose ``held`` column exceeds
-    it gives that rule's exit code.
+    an :class:`~condrisk.oce.OceSolution`, whose values, residuals and
+    iterations fill the rows, or for a closed form a ``ConditionalValue``
+    (residual 0.0, 0 iterations).  ``noted(solution, tol)`` gives the figures
+    noted as ``<note>=``, by default each atom's multiplier.  A command
+    reading ``--tol`` defaults it to ``tol``, and a row whose ``held`` column
+    exceeds it gives that rule's exit code.
     """
 
     help: str
     options: tuple
     solve: Optional[Callable] = None
     note: str = ""
+    noted: Callable = lambda sol, tol: sol.multiplier.values
     tol: Optional[float] = None
     held: tuple = ("residual", EXIT_RESIDUAL)
     rows: Callable = _atom_rows
 
 
 SEARCH_OPTIONS = ("position", "divergence", "tol")
+# the solvers are looked up by name when a command runs, so that a wrapper
+# bound over that name in this module (a tracer's, a test's) is the one called
 COMMANDS = {
-    "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS, _solve_oce,
-                   note="optimal_a", tol=DEFAULT_TOL),
-    "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS, _solve_dual,
-                    note="multiplier", tol=DEFAULT_TOL),
+    "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS,
+                   lambda *args: oce_primal(*args), note="optimal_a", tol=DEFAULT_TOL),
+    "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS,
+                    lambda *args: oce_dual(*args), note="multiplier", tol=DEFAULT_TOL),
     "gap": Command("duality gap self-check per atom", SEARCH_OPTIONS, _solve_gap,
-                   note="threshold", tol=DEFAULT_GAP_TOL, held=("value", EXIT_GAP)),
+                   note="threshold", noted=lambda sol, tol: np.full(len(sol.residuals), tol),
+                   tol=DEFAULT_GAP_TOL, held=("value", EXIT_GAP)),
     "entropic": Command(
         "entropic risk per atom", ("position",),
-        lambda space, g, gen, x, tol: (entropic_risk(space, g, x).values, None, None)),
+        lambda space, g, gen, x, tol: entropic_risk(space, g, x)),
     "divergence": Command(
         "conditional divergence of a measure per atom", ("divergence", "measure"),
-        lambda space, g, gen, nu, tol: (cond_divergence(space, g, gen, nu).values, None, None)),
+        lambda space, g, gen, nu, tol: cond_divergence(space, g, gen, nu)),
     "check": Command("sample niveloid axioms for an operator", ("operator", "samples", "seed"),
                      rows=_check_rows),
 }

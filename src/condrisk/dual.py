@@ -17,16 +17,18 @@ with value <= 1 at min_A x and >= 1 at max_A x.  That map minus one is the
 derivative of the primal objective, so the multiplier is the primal
 maximizer, taken from the one search in :mod:`condrisk.oce`.  By conjugate
 duality the optimal value coincides with the primal certainty equivalent.
+:func:`oce_dual` returns the primal's result type,
+:class:`~condrisk.oce.OceSolution`, with the dual value and the density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .divergence import ConditionalDensity, DivergenceGenerator
-from .oce import DEFAULT_TOL, _atom_searches, _oce_value
+from .divergence import DivergenceGenerator
+from .oce import DEFAULT_TOL, OceSolution, _block_value, _solve
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -35,24 +37,31 @@ from .probspace import (
 )
 from .scalar_opt import SolverError
 
-__all__ = ["DualSolution", "oce_dual", "duality_gap"]
+__all__ = ["oce_dual", "duality_gap"]
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Per-atom dual values, the minimizing density, and diagnostics.
+def _block_dual(gen, b, w, xa, c, t, density=None) -> np.ndarray:
+    """The penalized expectation E[x y + phi(y) | A] at the density
+    y = phi_star'(c + t - x), renormalized to conditional mean one, per atom
+    of a block; y is also written into ``density`` when one is given."""
+    # lambda - x in the centred coordinates of the search
+    y = np.asarray(gen.phi_star_prime(b.spread(t) - (xa - b.spread(c))), dtype=float)
+    mean = b.dot(w, y)
+    bad = np.flatnonzero(~(mean > 0.0) | ~np.isfinite(mean))
+    if bad.size:
+        raise SolverError(
+            f"atom A{b.atoms.start + int(bad[0])}: candidate density has conditional mean "
+            f"{float(mean[bad[0]])!r}; the conjugate derivative looks invalid"
+        )
+    y = y / b.spread(mean)
+    if density is not None:
+        density[b.idx] = y
+    return b.dot(w, xa * y + np.asarray(gen.phi(y), dtype=float))
 
-    ``optimal_density`` is renormalized atom by atom so it satisfies the
-    conditional mean-one constraint exactly; ``multiplier`` is the KKT
-    multiplier, the primal maximizer itself.  ``residuals`` holds the final
-    search bracket widths.
-    """
 
-    value: ConditionalValue
-    optimal_density: ConditionalDensity
-    multiplier: ConditionalValue
-    iterations: tuple
-    residuals: np.ndarray
+def _block_gap(gen, b, w, xa, c, t) -> np.ndarray:
+    """|primal - dual| per atom of a block, both at the multiplier c + t."""
+    return np.abs(_block_value(gen, b, w, xa, c, t) - _block_dual(gen, b, w, xa, c, t))
 
 
 def oce_dual(
@@ -61,7 +70,7 @@ def oce_dual(
     gen: DivergenceGenerator,
     x: RandomVariable,
     tol: float = DEFAULT_TOL,
-) -> DualSolution:
+) -> OceSolution:
     """Minimize the penalized expectation atom by atom.
 
     The multiplier comes from the search shared with :func:`oce_primal`;
@@ -69,38 +78,8 @@ def oce_dual(
     single-state atom admits only the base measure, so there y = 1 and the
     value is x at that state.
     """
-    values, lam, iters, residuals = [], [], [], []
     density = np.empty(space.num_states)
-    for b, w, xa, c, (shift, width, steps) in _atom_searches(space, g, gen, x, tol):
-        # lambda - x in the centred coordinates of the search
-        y = np.asarray(gen.phi_star_prime(b.spread(shift) - (xa - b.spread(c))), dtype=float)
-        mean = b.dot(w, y)
-        bad = np.flatnonzero(~(mean > 0.0) | ~np.isfinite(mean))
-        if bad.size:
-            raise SolverError(
-                f"atom A{b.atoms.start + int(bad[0])}: candidate density has conditional mean "
-                f"{float(mean[bad[0]])!r}; the conjugate derivative looks invalid"
-            )
-        y = y / b.spread(mean)
-        density[b.idx] = y
-        values.append(b.dot(w, xa * y + np.asarray(gen.phi(y), dtype=float)))
-        lam.append(c + shift)
-        residuals.append(width)
-        iters.append(steps)
-    return DualSolution(
-        value=ConditionalValue(np.concatenate(values)),
-        optimal_density=ConditionalDensity(density),
-        multiplier=ConditionalValue(np.concatenate(lam)),
-        iterations=tuple(np.concatenate(iters).tolist()),
-        residuals=np.concatenate(residuals),
-    )
-
-
-def _gap_and_dual(space, g, gen, x, tol):
-    """|primal - dual| per atom, both at the multiplier of one dual solve, and that solve."""
-    dual = oce_dual(space, g, gen, x, tol=tol)
-    primal = _oce_value(space, g, gen, x, dual.multiplier.values)
-    return np.abs(primal - dual.value.values), dual
+    return _solve(space, g, gen, x, tol, partial(_block_dual, density=density), density)
 
 
 def duality_gap(
@@ -112,8 +91,9 @@ def duality_gap(
 ) -> ConditionalValue:
     """Absolute difference between primal and dual values, per atom.
 
-    Both values are evaluated at the one multiplier lambda of
-    :func:`oce_dual`, so strong duality makes the true gap zero and what
+    Both values are evaluated at the one multiplier lambda of the shared
+    search, by the block formulas of :func:`oce_primal` and :func:`oce_dual`,
+    so strong duality makes the true gap zero and what
     this measures is the floating-point error of the conjugate identity
     phi(y) + phi_star(m) = m y at m = lambda - x, y = phi_star'(m), together
     with the renormalization of y.  It is a self-check of the value and
@@ -121,5 +101,4 @@ def duality_gap(
     :func:`condrisk.oce.entropic_risk` and the simplex grid of the test
     suite (``tests/oracles.py``).
     """
-    return ConditionalValue(_gap_and_dual(space, g, gen, x, tol)[0])
-
+    return _solve(space, g, gen, x, tol, _block_gap).value

@@ -17,16 +17,21 @@ fall below tol, which adds steps where the root lies near a kink of
 phi_star'.  Every generator carries phi_star' (synthesized from phi
 when not given), so this search is the only one.  The maximizer is also the
 dual KKT multiplier, so it is the package's only multiplier solve:
-:func:`oce_primal` and :func:`condrisk.dual.oce_dual` both derive from it.
+:func:`oce_primal`, :func:`condrisk.dual.oce_dual` and
+:func:`condrisk.dual.duality_gap` each run it once per block and evaluate
+their own value at it, and the first two return it in one result type,
+:class:`OceSolution`, as ``multiplier`` (the dual's result also holds the
+density).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .divergence import DivergenceGenerator
+from .divergence import ConditionalDensity, DivergenceGenerator
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -47,18 +52,24 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OceSolution:
-    """Per-atom certainty equivalents with solver diagnostics.
+    """Per-atom values at the multiplier of one search, with its diagnostics.
 
-    ``value[A]`` equals the objective evaluated at ``optimal_a[A]``;
+    ``multiplier[A]`` is the maximizing shift of the primal objective, which
+    is also the KKT multiplier of the dual program.  ``value[A]`` is what the
+    solve evaluates there: the certainty equivalent for :func:`oce_primal`,
+    the penalized expectation for :func:`condrisk.dual.oce_dual`.
     ``residuals[A]`` is the final bracket width of the search, which runs in
-    coordinates centred at max_A x: a bound on how far ``optimal_a[A]`` can
+    coordinates centred at max_A x: a bound on how far ``multiplier[A]`` can
     sit from the true maximizer, up to the rounding of moving it back.
+    ``density`` is the dual's minimizing density, renormalized atom by atom
+    to conditional mean one, and None where the solve does not compute it.
     """
 
     value: ConditionalValue
-    optimal_a: ConditionalValue
+    multiplier: ConditionalValue
     iterations: tuple
     residuals: np.ndarray
+    density: Optional[ConditionalDensity] = None
 
 
 def _check_tol(tol: float) -> float:
@@ -68,22 +79,24 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _atom_searches(space, g, gen, x, tol):
-    """The search for the maximizer a = c + a' of a - E[phi_star(a - x) | A], per block.
+def _solve(space, g, gen, x, tol, evaluate, density=None) -> OceSolution:
+    """The search for the maximizer a = c + t of a - E[phi_star(a - x) | A],
+    valued by ``evaluate`` at it, block by block.
 
     Each atom is searched on x - c over [min_A x - c, 0] with c = max_A x.
-    By cash additivity that is the same problem, but float spacing near a'
-    scales with |a'| instead of |max_A x|: a root just below a large max_A x
+    By cash additivity that is the same problem, but float spacing near t
+    scales with |t| instead of |max_A x|: a root just below a large max_A x
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
     of a block are searched together, with one phi_star' call over the
     block's states per step; each atom takes the steps its own scalar search
-    would.  Yields, per block, the block, its conditional weights w and
-    payoffs (block-ordered), c, and the arrays (a', bracket width,
-    iterations), so callers reuse the gathered block.
+    would.  ``evaluate(gen, b, w, xa, c, t)`` gets the block, its conditional
+    weights w and payoffs (block-ordered), c and t, and gives the block's
+    values; ``density``, a state vector it fills, becomes the result's.
     """
     _check_pair(space, g)
     _check_rv(space, x)
     tol = _check_tol(tol)
+    values, lam, residuals, iters = [], [], [], []
     for b in g._blocks:
         p = space.probs[b.idx]
         w = p / b.spread(b.sum(p))
@@ -108,26 +121,27 @@ def _atom_searches(space, g, gen, x, tol):
                     "overflows a float"
                 )
             r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
-        yield b, w, xa, c, (r.x, r.bracket_width, r.iterations)
+        values.append(evaluate(gen, b, w, xa, c, r.x))
+        lam.append(c + r.x)
+        residuals.append(r.bracket_width)
+        iters.append(r.iterations)
+    return OceSolution(
+        value=ConditionalValue(np.concatenate(values)),
+        multiplier=ConditionalValue(np.concatenate(lam)),
+        iterations=tuple(np.concatenate(iters).tolist()),
+        residuals=np.concatenate(residuals),
+        density=None if density is None else ConditionalDensity(density),
+    )
 
 
-def _block_value(gen, b, w, xa, a) -> np.ndarray:
-    """The primal objective a - E[phi_star(a - x) | A] at one shift per atom of a block.
+def _block_value(gen, b, w, xa, c, t) -> np.ndarray:
+    """The primal objective a - E[phi_star(a - x) | A] at a = c + t, per atom of a block.
 
     phi_star is evaluated once over the block and averaged by the block's
     segmented dot, the reduction of every other conditional expectation.
     """
+    a = c + t
     return a - b.dot(w, np.asarray(gen.phi_star(b.spread(a) - xa), dtype=float))
-
-
-def _oce_value(space, g, gen, x, a) -> np.ndarray:
-    """The primal objective at one shift per atom."""
-
-    def value(b):
-        p = space.probs[b.idx]
-        return _block_value(gen, b, p / b.spread(b.sum(p)), x.values[b.idx], a[b.atoms])
-
-    return _per_atom(g, value)
 
 
 def oce_primal(
@@ -142,21 +156,10 @@ def oce_primal(
     The per-atom problems are independent (the computation is local to each
     atom); the atoms of a block are searched together, each by
     the same steps as alone, so the result does not depend on how atoms are
-    grouped beyond the rounding of the per-atom sums.
+    grouped beyond the rounding of the per-atom sums.  No density is
+    computed.
     """
-    values, arg, residuals, iters = [], [], [], []
-    for b, w, xa, c, (shift, width, steps) in _atom_searches(space, g, gen, x, tol):
-        a = c + shift
-        arg.append(a)
-        values.append(_block_value(gen, b, w, xa, a))
-        residuals.append(width)
-        iters.append(steps)
-    return OceSolution(
-        value=ConditionalValue(np.concatenate(values)),
-        optimal_a=ConditionalValue(np.concatenate(arg)),
-        iterations=tuple(np.concatenate(iters).tolist()),
-        residuals=np.concatenate(residuals),
-    )
+    return _solve(space, g, gen, x, tol, _block_value)
 
 
 def i_phi(

@@ -256,7 +256,7 @@ def test_criterion_08_primal_shift_equals_dual_multiplier():
             worst = max(
                 worst,
                 float(
-                    np.max(np.abs(primal.optimal_a.values - dual.multiplier.values))
+                    np.max(np.abs(primal.multiplier.values - dual.multiplier.values))
                 ),
             )
     assert worst <= 1e-8

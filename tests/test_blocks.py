@@ -147,7 +147,7 @@ def test_batched_search_matches_scalar_search(seed, name):
             dual = oce_dual(space, g, gen, x, tol=tol)
             assert primal.iterations == tuple(iters.tolist())
             assert dual.iterations == primal.iterations
-            assert np.all(np.abs(primal.optimal_a.values - a) <= primal.residuals)
+            assert np.all(np.abs(primal.multiplier.values - a) <= primal.residuals)
             assert np.all(np.abs(dual.multiplier.values - a) <= dual.residuals)
             assert np.all(np.abs(primal.value.values - primal_ref) <= REL * (1 + np.abs(primal_ref)))
             assert np.all(np.abs(dual.value.values - dual_ref) <= REL * (1 + np.abs(dual_ref)))

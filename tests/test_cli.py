@@ -168,6 +168,29 @@ class TestCommands:
                 assert gap_row["residual"] == oce_row["residual"]
                 assert gap_row["iterations"] == oce_row["iterations"]
 
+    def test_oce_and_dual_call_their_solver_once(self, capsys, scenario_file, monkeypatch):
+        # the commands look their solvers up by these names when they run, so
+        # a wrapper bound over a name (the benchmark's tracer binds one) sees
+        # every call
+        calls = collections.Counter()
+
+        def counting(name):
+            inner = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return counted
+
+        for name in ("oce_primal", "oce_dual"):
+            monkeypatch.setattr(cli, name, counting(name))
+        for command, name in (("oce", "oce_primal"), ("dual", "oce_dual")):
+            calls.clear()
+            code, _, _ = run_cli(capsys, [command, scenario_file, "--position", "payoff"])
+            assert code == 0
+            assert calls == {name: 1}, (command, calls)
+
     def test_entropic_closed_form(self, capsys, scenario_file):
         code, out, _ = run_cli(
             capsys, ["entropic", scenario_file, "--position", "payoff", "--format", "json"]

@@ -23,6 +23,7 @@ from condrisk import (
     oce_dual,
     oce_primal,
 )
+from condrisk.probspace import BLOCK_STATES
 from conftest import BUILTIN_NAMES, random_density, random_instance
 from oracles import dual_bruteforce
 
@@ -68,7 +69,7 @@ class TestAnchors:
         g = Partition.trivial(2)
         sol = oce_dual(space, g, builtin_generator("kl"), RandomVariable([0.0, math.log(4.0)]))
         assert abs(sol.value.values[0] - math.log(1.6)) < 1e-9
-        np.testing.assert_allclose(sol.optimal_density.values, [1.6, 0.4], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(sol.density.values, [1.6, 0.4], rtol=0, atol=1e-8)
 
     def test_single_state_atoms_admit_only_the_base_measure(self):
         space = FiniteProbabilitySpace(["a", "b"], [0.4, 0.6])
@@ -77,7 +78,7 @@ class TestAnchors:
         for name in BUILTIN_NAMES:
             sol = oce_dual(space, g, builtin_generator(name), x)
             np.testing.assert_allclose(sol.value.values, x.values, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(sol.optimal_density.values, 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sol.density.values, 1.0, rtol=0, atol=1e-12)
 
 
 class TestSolverContract:
@@ -88,8 +89,8 @@ class TestSolverContract:
             for _ in range(10):
                 space, g, x = random_instance(rng)
                 sol = oce_dual(space, g, gen, x)
-                check_density(space, g, sol.optimal_density)
-                assert np.all(sol.optimal_density.values >= 0.0)
+                check_density(space, g, sol.density)
+                assert np.all(sol.density.values >= 0.0)
 
     def test_value_is_objective_at_optimal_density(self):
         rng = np.random.default_rng(51)
@@ -97,7 +98,7 @@ class TestSolverContract:
             gen = builtin_generator(name)
             space, g, x = random_instance(rng)
             sol = oce_dual(space, g, gen, x)
-            direct = dual_objective(space, g, gen, x, sol.optimal_density.values)
+            direct = dual_objective(space, g, gen, x, sol.density.values)
             np.testing.assert_allclose(sol.value.values, direct, rtol=0, atol=1e-13)
 
     def test_no_feasible_density_beats_the_reported_one(self):
@@ -126,7 +127,7 @@ class TestSolverContract:
                 w = w / w.sum()
                 ex = np.exp(-x.values[idx])
                 expected[idx] = ex / float(w @ ex)
-            np.testing.assert_allclose(sol.optimal_density.values, expected, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(sol.density.values, expected, rtol=0, atol=1e-8)
 
     def test_synthesized_conjugate_derivative(self):
         # a generator without phi_star' gets one synthesized from phi, so the
@@ -172,15 +173,27 @@ class TestStrongDuality:
                 assert np.all(np.abs(primal.value.values - dual.value.values) <= 1e-9)
 
     def test_duality_gap_helper_matches(self):
+        # the gap evaluates the primal's and the dual's block functions at the
+        # multiplier both solvers find, so it is |primal - dual| exactly, also
+        # on a partition of more than one block
         rng = np.random.default_rng(55)
-        space, g, x = random_instance(rng)
-        gen = builtin_generator("chi2")
-        gap = duality_gap(space, g, gen, x).values
-        primal = oce_primal(space, g, gen, x)
-        dual = oce_dual(space, g, gen, x)
-        np.testing.assert_allclose(
-            gap, np.abs(primal.value.values - dual.value.values), rtol=0, atol=1e-15
+        n = 2 * BLOCK_STATES + 5
+        p = rng.uniform(0.5, 1.5, n)
+        many = (
+            FiniteProbabilitySpace([f"s{i}" for i in range(n)], p / p.sum()),
+            Partition(np.array_split(rng.permutation(n), n // 7)),
+            RandomVariable(rng.normal(0.0, 3.0, n)),
         )
+        assert len(many[1]._blocks) > 1
+        for space, g, x in (random_instance(rng), many):
+            for name in BUILTIN_NAMES:
+                gen = builtin_generator(name)
+                gap = duality_gap(space, g, gen, x).values
+                primal = oce_primal(space, g, gen, x)
+                dual = oce_dual(space, g, gen, x)
+                np.testing.assert_array_equal(
+                    gap, np.abs(primal.value.values - dual.value.values), err_msg=name
+                )
 
     def test_multiplier_equals_primal_maximizer(self):
         # both solvers take their multiplier from the one shared search, so
@@ -192,7 +205,7 @@ class TestStrongDuality:
                 space, g, x = random_instance(rng)
                 primal = oce_primal(space, g, gen, x)
                 dual = oce_dual(space, g, gen, x)
-                np.testing.assert_array_equal(primal.optimal_a.values, dual.multiplier.values)
+                np.testing.assert_array_equal(primal.multiplier.values, dual.multiplier.values)
                 assert primal.iterations == dual.iterations
                 np.testing.assert_array_equal(primal.residuals, dual.residuals)
 

@@ -46,7 +46,7 @@ class TestAnchors:
         space = uniform_space(2)
         g = Partition.trivial(2)
         sol = oce_primal(space, g, builtin_generator("chi2"), RandomVariable([0.0, 1.0]))
-        assert abs(sol.optimal_a.values[0] - 0.5) < 1e-9
+        assert abs(sol.multiplier.values[0] - 0.5) < 1e-9
         assert abs(sol.value.values[0] - 0.4375) < 1e-9
 
     def test_constant_position_is_returned_unchanged(self):
@@ -58,7 +58,7 @@ class TestAnchors:
             x = RandomVariable(np.full(space.num_states, c))
             sol = oce_primal(space, g, gen, x)
             np.testing.assert_allclose(sol.value.values, c, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(sol.optimal_a.values, c, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sol.multiplier.values, c, rtol=0, atol=1e-9)
 
     def test_degenerate_single_state_atoms(self):
         space = FiniteProbabilitySpace(["a", "b"], [0.3, 0.7])
@@ -81,7 +81,7 @@ class TestSolverContract:
                     w = space.probs[idx]
                     w = w / w.sum()
                     slope = float(
-                        w @ np.asarray(gen.phi_star_prime(sol.optimal_a.values[i] - x.values[idx]))
+                        w @ np.asarray(gen.phi_star_prime(sol.multiplier.values[i] - x.values[idx]))
                     )
                     assert abs(slope - 1.0) <= 1e-8
 
@@ -98,8 +98,8 @@ class TestSolverContract:
             space, g, x = random_instance(rng)
             sol = oce_primal(space, g, builtin_generator("power:3"), x)
             for i, idx in enumerate(g.index_arrays()):
-                assert x.values[idx].min() - 1e-12 <= sol.optimal_a.values[i]
-                assert sol.optimal_a.values[i] <= x.values[idx].max() + 1e-12
+                assert x.values[idx].min() - 1e-12 <= sol.multiplier.values[i]
+                assert sol.multiplier.values[i] <= x.values[idx].max() + 1e-12
 
     def test_value_is_objective_at_maximizer(self):
         rng = np.random.default_rng(35)
@@ -109,7 +109,7 @@ class TestSolverContract:
         for i, idx in enumerate(g.index_arrays()):
             w = space.probs[idx]
             w = w / w.sum()
-            a = sol.optimal_a.values[i]
+            a = sol.multiplier.values[i]
             obj = a - float(w @ np.asarray(gen.phi_star(a - x.values[idx])))
             assert sol.value.values[i] == obj
 
