@@ -9,12 +9,15 @@ any number of named positions::
       "positions": {"payoff": [0.0, 1.386294]}
     }
 
-Commands: ``oce`` and ``dual`` (primal / dual certainty equivalents),
-``gap`` (their difference at the shared multiplier, the built-in self
-check), ``entropic`` (closed form for the relative-entropy generator),
-``divergence`` (conditional phi-divergence of a measure supplied as a
-positions-style weight vector) and ``check`` (niveloid axiom sampling for a
-named operator).
+Commands: ``oce`` and ``dual`` (primal / dual certainty equivalents,
+:func:`condrisk.oce.oce_primal` and :func:`condrisk.dual.oce_dual`), ``gap``
+(:func:`condrisk.dual.duality_gap`: |primal - dual| at the shared multiplier,
+the built-in self check), ``entropic`` (closed form for the relative-entropy
+generator), ``divergence`` (conditional phi-divergence of a measure supplied
+as a positions-style weight vector) and ``check`` (niveloid axiom sampling
+for a named operator).  Each command parses the scenario, calls one public
+function of the library and prints one row per atom (per axiom for
+``check``).
 
 Exit codes: 0 success, 2 input or usage errors, 3 a solver missed its
 tolerance, 4 the duality gap exceeded its threshold.  A malformed scenario
@@ -24,10 +27,10 @@ integer such as 1 followed by 400 zeros reads as the literal 1e400 would,
 as an infinity, which no probability or position may hold.
 
 Reports go to stdout as an aligned table, JSON, or CSV; identical
-invocations produce byte-identical output.  Each command takes only the options it reads (see
-``COMMANDS``); ``oce``, ``dual`` and ``gap`` read ``--tol``, and without it use
-their command's default, :data:`condrisk.oce.DEFAULT_TOL` or the gap threshold
-``DEFAULT_GAP_TOL``.
+invocations produce byte-identical output.  Each command takes only the
+options it reads (see ``COMMANDS``); ``oce``, ``dual`` and ``gap`` read
+``--tol``, and without it use their command's default,
+:data:`condrisk.oce.DEFAULT_TOL` or the gap threshold ``DEFAULT_GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -43,16 +46,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .divergence import (
-    EquivalentConditionalMeasure,
-    builtin_generator,
-    cond_divergence,
-)
-from .dual import _block_gap, oce_dual
+from .divergence import EquivalentConditionalMeasure, builtin_generator, cond_divergence
+from .dual import duality_gap, oce_dual
 from .niveloid import (
     atom_min_operator,
     check_niveloid_axioms,
@@ -61,8 +60,8 @@ from .niveloid import (
     iphi_operator,
     squared_expectation_operator,
 )
-from .oce import DEFAULT_TOL, _solve, entropic_risk, oce_primal
-from .probspace import ConditionalValue, FiniteProbabilitySpace, Partition, RandomVariable
+from .oce import DEFAULT_TOL, entropic_risk, oce_primal
+from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario", "main"]
@@ -120,25 +119,33 @@ def _parse_int(s: str):
         return float(s)
 
 
-def _float(v) -> float:
-    """float(v), with an integer beyond float range read as the literal 1e400
-    (or -1e400) reads: an infinity, which the finiteness checks then reject."""
+def _floats(values: list) -> np.ndarray:
+    """``values`` as floats, in one conversion.  An integer beyond float
+    range reads as the literal 1e400 (or -1e400) would: an infinity, which
+    the finiteness checks then reject."""
     try:
-        return float(v)
+        return np.array(values, dtype=float)
     except OverflowError:
-        return math.inf if v > 0 else -math.inf
+        out = []
+        for v in values:
+            try:
+                out.append(float(v))
+            except OverflowError:
+                out.append(math.inf if v > 0 else -math.inf)
+        return np.array(out)
 
 
 def parse_scenario(raw) -> Scenario:
     """Validate a decoded scenario and build its space, partition and positions.
 
-    Each list is typed and converted in one pass; a loop over its entries
-    runs only when that check fails, to name the first offending entry.  So
-    a malformed scenario reports its first fault in document order: each
-    state entry (object and keys, then name, then prob), duplicate names,
-    the probabilities, each atom (list and nonempty, then members in order),
-    the cover, then each position in key order (list and length, entries,
-    finiteness).
+    Each list is typed and converted in one pass.  A loop over its entries
+    runs only when that check fails, and only to name the first offending
+    entry; entries of subclasses of the JSON types pass it, and the list is
+    then converted as any other.  So a malformed scenario reports its first
+    fault in document order: each state entry (object and keys, then name,
+    then prob), duplicate names, the probabilities, each atom (list and
+    nonempty, then members in order), the cover, then each position in key
+    order (list and length, entries, finiteness).
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -192,20 +199,19 @@ _NUMBERS = {float, int}
 
 def _states(states: list):
     """The state names and probabilities of a nonempty list of state entries."""
-    if set(map(type, states)) <= {dict}:
-        try:
-            names = list(map(operator.itemgetter("name"), states))
-            probs = list(map(operator.itemgetter("prob"), states))
-        except KeyError:
-            pass
-        else:
-            if set(map(type, names)) <= {str} and all(names) and set(map(type, probs)) <= _NUMBERS:
-                try:
-                    return names, np.array(probs, dtype=float)
-                except OverflowError:  # an integer beyond float range, read by _float
-                    pass
-    names = []
-    probs = []
+    try:
+        names = list(map(operator.itemgetter("name"), states))
+        probs = list(map(operator.itemgetter("prob"), states))
+    except (LookupError, TypeError):  # an entry that is no object or lacks a key,
+        names = probs = [None]  # which the loop names
+    if not (set(map(type, states)) <= {dict} and set(map(type, names)) <= {str}
+            and all(names) and set(map(type, probs)) <= _NUMBERS):
+        _state_faults(states)
+    return names, _floats(probs)
+
+
+def _state_faults(states: list) -> None:
+    """Raise ScenarioError at the first malformed state entry, if any."""
     for pos, entry in enumerate(states):
         if not isinstance(entry, dict) or "name" not in entry or "prob" not in entry:
             raise ScenarioError(f"states[{pos}] must be an object with 'name' and 'prob'")
@@ -215,45 +221,40 @@ def _states(states: list):
             raise ScenarioError(f"states[{pos}].name must be a nonempty string")
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise ScenarioError(f"states[{pos}].prob must be a number, got {prob!r}")
-        names.append(name)
-        probs.append(_float(prob))
-    return names, probs
 
 
 def _atoms(atoms_raw: list, index: dict):
     """Each atom's state indices, looked up by name in ``index``."""
     members = itertools.chain.from_iterable
-    if (set(map(type, atoms_raw)) <= {list} and all(atoms_raw)
+    if not (set(map(type, atoms_raw)) <= {list} and all(atoms_raw)
             and set(map(type, members(atoms_raw))) <= {str}):
-        try:
-            order = np.fromiter(map(index.__getitem__, members(atoms_raw)), np.intp)
-        except KeyError:
-            pass
-        else:
-            bounds = itertools.accumulate(map(len, atoms_raw), initial=0)
-            return [order[lo:hi] for lo, hi in itertools.pairwise(bounds)]
-    atoms = []
+        _atom_faults(atoms_raw, index)
+    try:
+        order = np.fromiter(map(index.__getitem__, members(atoms_raw)), np.intp)
+    except KeyError:  # an unknown name, which the loop names
+        _atom_faults(atoms_raw, index)
+        raise
+    bounds = itertools.accumulate(map(len, atoms_raw), initial=0)
+    return [order[lo:hi] for lo, hi in itertools.pairwise(bounds)]
+
+
+def _atom_faults(atoms_raw: list, index: dict) -> None:
+    """Raise ScenarioError at the first malformed atom or unknown member, if any."""
     for pos, atom in enumerate(atoms_raw):
         if not isinstance(atom, list) or not atom:
             raise ScenarioError(f"atoms[{pos}] must be a nonempty list of state names")
         for member in atom:
             if not isinstance(member, str) or member not in index:
                 raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
-        atoms.append([index[member] for member in atom])
-    return atoms
 
 
-def _position_values(label, values: list):
+def _position_values(label, values: list) -> np.ndarray:
     """The entries of position ``label`` as floats."""
-    if set(map(type, values)) <= _NUMBERS:
-        try:
-            return np.array(values, dtype=float)
-        except OverflowError:  # an integer beyond float range, read by _float
-            pass
-    for j, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
-    return [_float(v) for v in values]
+    if not set(map(type, values)) <= _NUMBERS:
+        for j, v in enumerate(values):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ScenarioError(f"position {label!r} entry {j} must be a number, got {v!r}")
+    return _floats(values)
 
 
 def _get_position(scenario: Scenario, label: str) -> RandomVariable:
@@ -261,10 +262,6 @@ def _get_position(scenario: Scenario, label: str) -> RandomVariable:
         known = ", ".join(sorted(scenario.positions)) or "(none)"
         raise ScenarioError(f"unknown position {label!r}; scenario defines: {known}")
     return scenario.positions[label]
-
-
-def _atom_label(i: int) -> str:
-    return f"A{i}"
 
 
 def _fmt(value) -> str:
@@ -329,31 +326,21 @@ def _json_report(rows, echo, command: str) -> str:
 def _emit(rows, fmt: str, echo, command: str) -> str:
     if fmt == "json":
         return _json_report(rows, echo, command) + "\n"
+    cells = [COLUMNS, *([_fmt(row[c]) for c in COLUMNS] for row in rows)]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in COLUMNS])
+        csv.writer(buf, lineterminator="\n").writerows(cells)
         return buf.getvalue()
     # aligned table
-    cells = [[str(c) for c in COLUMNS]]
-    for row in rows:
-        cells.append([_fmt(row[c]) for c in COLUMNS])
-    widths = [max(len(r[j]) for r in cells) for j in range(len(COLUMNS))]
-    lines = ["  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip() for r in cells]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in cells]
     return "\n".join(lines) + "\n"
 
 
-def _row(atom, quantity, value, residual, iterations, note=""):
-    return {
-        "atom": atom,
-        "quantity": quantity,
-        "value": float(value),
-        "residual": float(residual),
-        "iterations": int(iterations),
-        "note": note,
-    }
+def _row(atom, quantity, value, residual, iterations, note):
+    """One report row, its keys in ``COLUMNS`` order."""
+    return {"atom": atom, "quantity": quantity, "value": float(value),
+            "residual": float(residual), "iterations": int(iterations), "note": note}
 
 
 def _operator_from_name(name: str, scenario: Scenario):
@@ -381,13 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tol(args, default: float) -> float:
-    tol = default if args.tol is None else args.tol
-    if not (tol > 0.0) or not np.isfinite(tol):
-        raise ScenarioError(f"tolerance must be a positive finite number, got {tol!r}")
-    return float(tol)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -399,8 +379,7 @@ def main(argv=None) -> int:
         if args.echo_input and args.format != "json":
             raise ScenarioError("--echo-input requires --format json")
         scenario = load_scenario(args.file)
-        command = COMMANDS[args.command]
-        rows, code = command.rows(args, scenario, command)
+        rows, code = COMMANDS[args.command].rows(args, scenario)
     except (ScenarioError, ValueError) as e:
         print(f"condrisk: error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -413,45 +392,82 @@ def main(argv=None) -> int:
     return code
 
 
-def _solve_gap(space, g, gen, x, threshold):
-    """The shared search valued by |primal - dual|, as :func:`duality_gap` gives
-    it, with the search's residuals and iterations."""
-    return _solve(space, g, gen, x, min(DEFAULT_TOL, threshold / 10.0), _block_gap)
-
-
-def _atom_rows(args, scenario: Scenario, command):
-    """One row per atom: its value, the residual and iterations of its search
-    (0.0 and 0 for a closed form) and the figure noted beside the value."""
-    gen = builtin_generator(args.divergence) if "divergence" in command.options else None
-    if "measure" in command.options:
-        weights = _get_position(scenario, args.measure).values
-        try:
-            x = EquivalentConditionalMeasure(weights)
-        except ValueError as e:
-            raise ScenarioError(f"measure {args.measure!r}: {e}") from None
-    else:
-        x = _get_position(scenario, args.position)
-    tol = _resolve_tol(args, command.tol) if "tol" in command.options else None
-    sol = command.solve(scenario.space, scenario.partition, gen, x, tol)
-    quantity = args.command if gen is None else f"{args.command}:{gen.name}"
-    if isinstance(sol, ConditionalValue):  # a closed form
-        values = sol.values
-        residuals = iterations = np.zeros(len(values))
-    else:
-        values, residuals, iterations = sol.value.values, sol.residuals, sol.iterations
-    noted = command.noted(sol, tol) if command.note else None
-    rows = [
-        _row(_atom_label(i), quantity, v, residuals[i], iterations[i],
-             note=f"{command.note}={float(noted[i])!r}" if command.note else "")
-        for i, v in enumerate(values)
+def _atom_rows(quantity: str, values, residuals, iterations, notes) -> list:
+    """One row per atom, named A0, A1, ... in partition order."""
+    return [
+        _row(f"A{i}", quantity, *cells)
+        for i, cells in enumerate(zip(values, residuals, iterations, notes))
     ]
-    if tol is None:
-        return rows, EXIT_OK
-    held, exit_code = command.held
-    return rows, exit_code if any(row[held] > tol for row in rows) else EXIT_OK
 
 
-def _check_rows(args, scenario: Scenario, command):
+def _closed_form_rows(quantity: str, values):
+    """The rows of a closed form, which has no search: residual 0.0, 0 iterations, no note."""
+    n = len(values)
+    return _atom_rows(quantity, values, [0.0] * n, [0] * n, [""] * n), EXIT_OK
+
+
+def _search_inputs(args, scenario: Scenario, default_tol: float):
+    """The generator, position and tolerance a searching command reads."""
+    gen = builtin_generator(args.divergence)
+    x = _get_position(scenario, args.position)
+    tol = default_tol if args.tol is None else args.tol
+    if not (tol > 0.0) or not np.isfinite(tol):
+        raise ScenarioError(f"tolerance must be a positive finite number, got {tol!r}")
+    return gen, x, float(tol)
+
+
+def _solution_rows(args, gen, sol, tol: float, note: str):
+    """The rows of a primal or dual solution, each noting its atom's
+    multiplier as ``note``; exit 3 where a search missed ``tol``."""
+    notes = [f"{note}={m!r}" for m in sol.multiplier.values.tolist()]
+    rows = _atom_rows(f"{args.command}:{gen.name}", sol.value.values, sol.residuals,
+                      sol.iterations, notes)
+    return rows, EXIT_RESIDUAL if np.any(sol.residuals > tol) else EXIT_OK
+
+
+# oce_primal and oce_dual are looked up by name when a command runs, so that a
+# wrapper bound over that name in this module (a tracer's, a test's) is called
+def _oce_rows(args, scenario: Scenario):
+    gen, x, tol = _search_inputs(args, scenario, DEFAULT_TOL)
+    sol = oce_primal(scenario.space, scenario.partition, gen, x, tol)
+    return _solution_rows(args, gen, sol, tol, "optimal_a")
+
+
+def _dual_rows(args, scenario: Scenario):
+    gen, x, tol = _search_inputs(args, scenario, DEFAULT_TOL)
+    sol = oce_dual(scenario.space, scenario.partition, gen, x, tol)
+    return _solution_rows(args, gen, sol, tol, "multiplier")
+
+
+def _gap_rows(args, scenario: Scenario):
+    """|primal - dual| per atom, searched to a tenth of the threshold (at most
+    DEFAULT_TOL); exit 4 where it exceeds the threshold."""
+    gen, x, threshold = _search_inputs(args, scenario, DEFAULT_GAP_TOL)
+    sol = duality_gap(scenario.space, scenario.partition, gen, x,
+                      min(DEFAULT_TOL, threshold / 10.0))
+    gaps = sol.value.values
+    rows = _atom_rows(f"gap:{gen.name}", gaps, sol.residuals, sol.iterations,
+                      itertools.repeat(f"threshold={threshold!r}"))
+    return rows, EXIT_GAP if np.any(gaps > threshold) else EXIT_OK
+
+
+def _entropic_rows(args, scenario: Scenario):
+    risk = entropic_risk(scenario.space, scenario.partition, _get_position(scenario, args.position))
+    return _closed_form_rows("entropic", risk.values)
+
+
+def _divergence_rows(args, scenario: Scenario):
+    gen = builtin_generator(args.divergence)
+    weights = _get_position(scenario, args.measure).values
+    try:
+        nu = EquivalentConditionalMeasure(weights)
+    except ValueError as e:
+        raise ScenarioError(f"measure {args.measure!r}: {e}") from None
+    values = cond_divergence(scenario.space, scenario.partition, gen, nu).values
+    return _closed_form_rows(f"divergence:{gen.name}", values)
+
+
+def _check_rows(args, scenario: Scenario):
     """One row per sampled niveloid axiom, with a counterexample where it fails."""
     op = _operator_from_name(args.operator, scenario)
     if args.samples < 1:
@@ -461,8 +477,8 @@ def _check_rows(args, scenario: Scenario, command):
     )
     rows = []
     for c in report.checks:
-        note = "pass" if c.passed else "fail"
-        row = _row("*", f"axiom:{c.name}", c.max_violation, 0.0, args.samples, note=note)
+        row = _row("*", f"axiom:{c.name}", c.max_violation, 0.0, args.samples,
+                   "pass" if c.passed else "fail")
         if c.counterexample is not None:
             row["counterexample"] = c.counterexample
         rows.append(row)
@@ -472,46 +488,23 @@ def _check_rows(args, scenario: Scenario, command):
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its help, the options it reads besides ``file`` and
-    ``COMMON_OPTIONS``, and ``rows(args, scenario, command)`` -> (rows, exit code).
-
-    A per-atom command's ``solve(space, partition, generator, x, tol)`` gives
-    an :class:`~condrisk.oce.OceSolution`, whose values, residuals and
-    iterations fill the rows, or for a closed form a ``ConditionalValue``
-    (residual 0.0, 0 iterations).  ``noted(solution, tol)`` gives the figures
-    noted as ``<note>=``, by default each atom's multiplier.  A command
-    reading ``--tol`` defaults it to ``tol``, and a row whose ``held`` column
-    exceeds it gives that rule's exit code.
-    """
+    ``COMMON_OPTIONS``, and ``rows(args, scenario)`` -> (rows, exit code)."""
 
     help: str
     options: tuple
-    solve: Optional[Callable] = None
-    note: str = ""
-    noted: Callable = lambda sol, tol: sol.multiplier.values
-    tol: Optional[float] = None
-    held: tuple = ("residual", EXIT_RESIDUAL)
-    rows: Callable = _atom_rows
+    rows: Callable
 
 
 SEARCH_OPTIONS = ("position", "divergence", "tol")
-# the solvers are looked up by name when a command runs, so that a wrapper
-# bound over that name in this module (a tracer's, a test's) is the one called
 COMMANDS = {
-    "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS,
-                   lambda *args: oce_primal(*args), note="optimal_a", tol=DEFAULT_TOL),
-    "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS,
-                    lambda *args: oce_dual(*args), note="multiplier", tol=DEFAULT_TOL),
-    "gap": Command("duality gap self-check per atom", SEARCH_OPTIONS, _solve_gap,
-                   note="threshold", noted=lambda sol, tol: np.full(len(sol.residuals), tol),
-                   tol=DEFAULT_GAP_TOL, held=("value", EXIT_GAP)),
-    "entropic": Command(
-        "entropic risk per atom", ("position",),
-        lambda space, g, gen, x, tol: entropic_risk(space, g, x)),
-    "divergence": Command(
-        "conditional divergence of a measure per atom", ("divergence", "measure"),
-        lambda space, g, gen, nu, tol: cond_divergence(space, g, gen, nu)),
+    "oce": Command("primal optimized certainty equivalent per atom", SEARCH_OPTIONS, _oce_rows),
+    "dual": Command("dual (penalized expectation) value per atom", SEARCH_OPTIONS, _dual_rows),
+    "gap": Command("duality gap self-check per atom", SEARCH_OPTIONS, _gap_rows),
+    "entropic": Command("entropic risk per atom", ("position",), _entropic_rows),
+    "divergence": Command("conditional divergence of a measure per atom",
+                          ("divergence", "measure"), _divergence_rows),
     "check": Command("sample niveloid axioms for an operator", ("operator", "samples", "seed"),
-                     rows=_check_rows),
+                     _check_rows),
 }
 
 # every option a command may read, in the order its --help lists them

@@ -17,8 +17,9 @@ with value <= 1 at min_A x and >= 1 at max_A x.  That map minus one is the
 derivative of the primal objective, so the multiplier is the primal
 maximizer, taken from the one search in :mod:`condrisk.oce`.  By conjugate
 duality the optimal value coincides with the primal certainty equivalent.
-:func:`oce_dual` returns the primal's result type,
-:class:`~condrisk.oce.OceSolution`, with the dual value and the density.
+:func:`oce_dual` and :func:`duality_gap` return the primal's result type,
+:class:`~condrisk.oce.OceSolution`: the dual value and the density, or
+|primal - dual|, at the search's multiplier.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ import numpy as np
 
 from .divergence import DivergenceGenerator
 from .oce import DEFAULT_TOL, OceSolution, _block_value, _solve
-from .probspace import (
-    ConditionalValue,
-    FiniteProbabilitySpace,
-    Partition,
-    RandomVariable,
-)
+from .probspace import FiniteProbabilitySpace, Partition, RandomVariable
 from .scalar_opt import SolverError
 
 __all__ = ["oce_dual", "duality_gap"]
@@ -88,17 +84,18 @@ def duality_gap(
     gen: DivergenceGenerator,
     x: RandomVariable,
     tol: float = DEFAULT_TOL,
-) -> ConditionalValue:
+) -> OceSolution:
     """Absolute difference between primal and dual values, per atom.
 
-    Both values are evaluated at the one multiplier lambda of the shared
-    search, by the block formulas of :func:`oce_primal` and :func:`oce_dual`,
-    so strong duality makes the true gap zero and what
-    this measures is the floating-point error of the conjugate identity
-    phi(y) + phi_star(m) = m y at m = lambda - x, y = phi_star'(m), together
-    with the renormalization of y.  It is a self-check of the value and
-    density formulas, not of the search; the independent oracles are
-    :func:`condrisk.oce.entropic_risk` and the simplex grid of the test
-    suite (``tests/oracles.py``).
+    The result's ``value`` is |primal - dual|, with the search's
+    ``multiplier``, ``residuals`` and ``iterations``.  Both values are
+    evaluated at the one multiplier lambda of the shared search, by the block
+    formulas of :func:`oce_primal` and :func:`oce_dual`, so strong duality
+    makes the true gap zero and what this measures is the floating-point
+    error of the conjugate identity phi(y) + phi_star(m) = m y at
+    m = lambda - x, y = phi_star'(m), together with the renormalization of y.
+    It is a self-check of the value and density formulas, not of the search;
+    the independent oracles are :func:`condrisk.oce.entropic_risk` and the
+    simplex grid of the test suite (``tests/oracles.py``).
     """
-    return _solve(space, g, gen, x, tol, _block_gap).value
+    return _solve(space, g, gen, x, tol, _block_gap)

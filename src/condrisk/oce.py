@@ -19,7 +19,7 @@ when not given), so this search is the only one.  The maximizer is also the
 dual KKT multiplier, so it is the package's only multiplier solve:
 :func:`oce_primal`, :func:`condrisk.dual.oce_dual` and
 :func:`condrisk.dual.duality_gap` each run it once per block and evaluate
-their own value at it, and the first two return it in one result type,
+their own value at it, and all three return it in one result type,
 :class:`OceSolution`, as ``multiplier`` (the dual's result also holds the
 density).
 """
@@ -57,7 +57,8 @@ class OceSolution:
     ``multiplier[A]`` is the maximizing shift of the primal objective, which
     is also the KKT multiplier of the dual program.  ``value[A]`` is what the
     solve evaluates there: the certainty equivalent for :func:`oce_primal`,
-    the penalized expectation for :func:`condrisk.dual.oce_dual`.
+    the penalized expectation for :func:`condrisk.dual.oce_dual`, and
+|primal - dual| for :func:`condrisk.dual.duality_gap`.
     ``residuals[A]`` is the final bracket width of the search, which runs in
     coordinates centred at max_A x: a bound on how far ``multiplier[A]`` can
     sit from the true maximizer, up to the rounding of moving it back.

@@ -15,12 +15,15 @@ Three searches cover everything this package optimizes:
   growing the interval first when no a-priori bracket is known.
 
 Each is one step loop over an array of independent brackets, and a scalar
-bracket is an array of one: every bracket takes exactly the steps its scalar
-call would, and each step calls the function once, with one point per
-bracket, so independent problems such as the atoms of a partition share
-every call.  The searches stop on an interval-width tolerance and an
-iteration cap, and report what they achieved so callers can surface
-residuals instead of silently returning garbage.
+bracket is an array of one: given the same function values, every bracket
+takes exactly the steps its scalar call would (numpy may round them apart:
+``(t - 1.0) ** 2`` is ``pow`` on a 0-d array and ``square`` on arrays, which
+moves chi2's numeric conjugate at m = 2.1121... by 4.4e-16).  Each step
+calls the function once, with one point per bracket, so independent
+problems such as the atoms of a partition share every call.  The searches
+stop on an interval-width tolerance and an iteration cap, and report what
+they achieved so callers can surface residuals instead of silently
+returning garbage.
 """
 
 from __future__ import annotations

@@ -291,7 +291,7 @@ def test_duality_gap_value_step_matches_per_atom_objective():
         w = space.probs[idx] / space.probs[idx].sum()
         ref.append(lam[k] - w @ gen.phi_star(lam[k] - x.values[idx]))
     gap_ref = np.abs(np.array(ref) - dual.value.values)
-    np.testing.assert_allclose(duality_gap(space, g, gen, x).values, gap_ref, rtol=0, atol=REL)
+    np.testing.assert_allclose(duality_gap(space, g, gen, x).value.values, gap_ref, rtol=0, atol=REL)
 
 
 def test_mass_checks_name_the_first_failing_atom():

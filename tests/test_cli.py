@@ -760,7 +760,7 @@ def _fault_position(draw, doc):
         ))
     elif kind == "longer" and isinstance(values, list):
         values.append(0.0)
-    elif kind == "shorter" and isinstance(values, list):
+    elif kind == "shorter" and isinstance(values, list) and values:
         values.pop()
     elif kind == "tuple":
         positions[label] = tuple(values)
@@ -830,6 +830,11 @@ class TestParserMatchesReference:
     @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [[["a"]]]})
     @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a", "a"]]})
     @example(SEVERAL_FAULTS)
+    @example({"states": [{"name": "0", "prob": 1.0}], "atoms": [["0"]], "positions": {"": []}})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["zz"], []]})
+    @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a"], ["zz"]]})
+    @example({"states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
+              "atoms": [["a", "b"]], "positions": {"x": [1.0]}})
     @settings(max_examples=300, deadline=None)
     def test_same_scenario_or_same_error(self, doc):
         expected = parse_outcome(parse_scenario_reference, doc)
@@ -838,6 +843,11 @@ class TestParserMatchesReference:
     def test_several_faults_report_the_first_in_document_order(self):
         with pytest.raises(ScenarioError, match=r"^states\[1\]\.name must be a nonempty string$"):
             cli.parse_scenario(SEVERAL_FAULTS)
+
+    def test_unknown_member_is_named_before_a_later_empty_atom(self):
+        doc = {"states": [{"name": "a", "prob": 1.0}], "atoms": [["zz"], []]}
+        with pytest.raises(ScenarioError, match=r"^atoms\[0\] names unknown state 'zz'$"):
+            cli.parse_scenario(doc)
 
 
 # ---------------------------------------------------------------------------

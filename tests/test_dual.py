@@ -145,8 +145,8 @@ class TestSolverContract:
             b = oce_dual(space, g, kl, x)
             np.testing.assert_allclose(a.value.values, b.value.values, rtol=0, atol=1e-6)
             np.testing.assert_allclose(
-                duality_gap(space, g, stripped, x).values,
-                duality_gap(space, g, kl, x).values,
+                duality_gap(space, g, stripped, x).value.values,
+                duality_gap(space, g, kl, x).value.values,
                 rtol=0,
                 atol=1e-6,
             )
@@ -159,6 +159,17 @@ class TestSolverContract:
         space = uniform_space(2)
         with pytest.raises(SolverError):
             oce_dual(space, Partition.trivial(2), broken, RandomVariable([0.0, 1.0]))
+
+    def test_zero_mean_density_names_its_atom(self):
+        # single-state atoms need no search, so the density check is what fails
+        kl = builtin_generator("kl")
+        zero = DivergenceGenerator(name="zero", phi=kl.phi, phi_star=kl.phi_star,
+                                   phi_star_prime=lambda m: np.zeros(np.shape(m)))
+        x = RandomVariable([0.0, 1.0, 2.0])
+        message = (r"^atom A0: candidate density has conditional mean 0\.0; "
+                   r"the conjugate derivative looks invalid$")
+        with pytest.raises(SolverError, match=message):
+            oce_dual(uniform_space(3), Partition.discrete(3), zero, x)
 
 
 class TestStrongDuality:
@@ -188,7 +199,7 @@ class TestStrongDuality:
         for space, g, x in (random_instance(rng), many):
             for name in BUILTIN_NAMES:
                 gen = builtin_generator(name)
-                gap = duality_gap(space, g, gen, x).values
+                gap = duality_gap(space, g, gen, x).value.values
                 primal = oce_primal(space, g, gen, x)
                 dual = oce_dual(space, g, gen, x)
                 np.testing.assert_array_equal(
