@@ -228,7 +228,6 @@ def test_criterion_06_niveloid_completion_matches_grid_search():
 
 
 def test_criterion_07_numeric_conjugate_matches_closed_forms():
-    # one call per generator searches the whole grid at once
     grid = np.linspace(-10.0, 10.0, 1000)
     worst = 0.0
     for name in BUILTIN_NAMES:

@@ -844,11 +844,6 @@ class TestParserMatchesReference:
         with pytest.raises(ScenarioError, match=r"^states\[1\]\.name must be a nonempty string$"):
             cli.parse_scenario(SEVERAL_FAULTS)
 
-    def test_unknown_member_is_named_before_a_later_empty_atom(self):
-        doc = {"states": [{"name": "a", "prob": 1.0}], "atoms": [["zz"], []]}
-        with pytest.raises(ScenarioError, match=r"^atoms\[0\] names unknown state 'zz'$"):
-            cli.parse_scenario(doc)
-
 
 # ---------------------------------------------------------------------------
 # the JSON writer against json.dumps
