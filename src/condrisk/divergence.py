@@ -82,10 +82,12 @@ CONJ_TOL = 1e-8
 class DivergenceGenerator:
     """Generator phi together with its conjugate calculus.
 
-    ``phi``, ``phi_star`` and ``phi_star_prime`` accept scalars or numpy
-    arrays.  ``phi_star_prime`` is the nondecreasing right derivative of the
-    conjugate (equivalently the argmax t of m t - phi(t)); it is what the
-    certainty-equivalent solvers search on.  Either conjugate function that
+    ``phi``, ``phi_star`` and ``phi_star_prime`` act elementwise on scalars
+    or numpy arrays of any shape: the niveloid operators and the numeric
+    conjugate's search pass two-dimensional batches.  ``phi_star_prime`` is
+    the nondecreasing right derivative of the conjugate (equivalently the
+    argmax t of m t - phi(t)); it is what the certainty-equivalent solvers
+    search on.  Either conjugate function that
     is omitted or None is synthesized from phi by one direct maximization of
     m t - phi(t) over all the arguments of a call: ``phi_star`` as the
     maximum (raising :class:`condrisk.scalar_opt.UnboundedObjective` where it

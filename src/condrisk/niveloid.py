@@ -17,7 +17,12 @@ inventing a number.
 Concavity with G-measurable weights implies the computation is local: the
 value on an atom depends on the input only through its restriction to that
 atom.  That is what lets the searches here step every atom's own problem
-with one operator call.
+with one operator call.  An operator evaluates a batch of positions, one
+per row, so that call also carries all ``PROBES`` points of a step of the
+section search (:func:`condrisk.scalar_opt.golden_section_max`):
+:func:`niveloidify` and each line search of :func:`penalty` make one call
+per search step, and :func:`check_niveloid_axioms` seven per batch of
+samples.
 """
 
 from __future__ import annotations
@@ -28,19 +33,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divergence import ConditionalDensity, DivergenceGenerator, check_density
-from .oce import DEFAULT_TOL, _check_tol, entropic_risk, i_phi
+from .oce import DEFAULT_TOL, _check_tol, _entropic, _i_phi
 from .probspace import (
+    BLOCK_STATES,
     ConditionalValue,
     FiniteProbabilitySpace,
     Partition,
     RandomVariable,
     atom_masses,
-    cond_expectation,
-    cond_sup_norm,
-    embed,
     _check_pair,
     _check_rv,
+    _cond_max,
+    _cond_mean,
     _per_atom,
+    _spread,
 )
 from .scalar_opt import SolverError, expand_bracket_max, golden_section_max
 
@@ -70,17 +76,31 @@ PENALTY_XTOL = 1e-10
 
 @dataclass(frozen=True)
 class ConditionalOperator:
-    """Map from random variables to G-measurable values, with declared shape.
+    """Map from positions to G-measurable values, with declared shape.
 
-    ``evaluate`` must be deterministic.  The flags are declarations by the
-    caller, not inferences; :func:`check_niveloid_axioms` is the tool for
-    testing whether they (and the niveloid axioms) actually hold.  Locality
-    needs no flag of its own: ``concave`` carries it (see the module notes),
-    and :func:`niveloidify` and :func:`penalty` rely on it to search all
-    atoms at once, one ``evaluate`` call per step.
+    ``evaluate`` maps an (m, n) array of positions, one per row over the n
+    states, to an (m, k) array whose row i holds the k per-atom values of
+    position i.  Rows are independent, so an operator written for one
+    position works row by row::
+
+        def capped(z):  # min(E[z | G], 0)
+            return np.array([
+                np.minimum(cond_expectation(space, g, RandomVariable(row)).values, 0.0)
+                for row in z
+            ])
+
+        op = ConditionalOperator(capped, monotone=True, concave=True, name="capped")
+
+    The stock operators reduce all rows at once on the partition's blocks.
+    ``evaluate`` must be deterministic and its values finite.  The flags are
+    declarations by the caller, not inferences; :func:`check_niveloid_axioms`
+    is the tool for testing whether they (and the niveloid axioms) actually
+    hold.  Locality needs no flag of its own: ``concave`` carries it (see
+    the module notes), and :func:`niveloidify` and :func:`penalty` rely on
+    it to search all atoms at once, one ``evaluate`` call per step.
     """
 
-    evaluate: Callable[[RandomVariable], ConditionalValue]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     monotone: bool = False
     concave: bool = False
     name: str = ""
@@ -94,13 +114,18 @@ class NotDominatedError(SolverError):
         self.atoms = tuple(atoms)
 
 
-def _eval(op: ConditionalOperator, g: Partition, x: RandomVariable) -> np.ndarray:
-    out = op.evaluate(x)
-    if not isinstance(out, ConditionalValue) or len(out) != g.num_atoms:
+def _eval(op: ConditionalOperator, g: Partition, z: np.ndarray) -> np.ndarray:
+    """``op`` at the positions z, of shape (..., n): checked values of shape (..., k)."""
+    rows = np.reshape(z, (-1, g.num_states))
+    out = op.evaluate(rows)
+    if not isinstance(out, np.ndarray) or out.shape != (rows.shape[0], g.num_atoms):
         raise ValueError(
-            f"operator {op.name!r} must return a ConditionalValue with one entry per atom"
+            f"operator {op.name!r} must return an array with one entry per atom "
+            f"for each of its {rows.shape[0]} positions"
         )
-    return out.values
+    if not np.isfinite(out).all():
+        raise ValueError(f"operator {op.name!r} must return finite values, got {out!r}")
+    return out.reshape(z.shape[:-1] + (g.num_atoms,))
 
 
 def niveloidify(
@@ -115,7 +140,8 @@ def niveloidify(
     Requires the monotone and concave flags: monotonicity collapses the
     completion to a search over the shift a, and concavity both makes that
     search concave and localizes the value to each atom, so one operator
-    call at x - a, a shifting every atom, serves every atom's search step.
+    call on the positions x - a, each a shifting every atom by one of the
+    section search's probes, serves every atom's search step.
     The initial shift brackets [min_A x - 1, max_A x + 1] are doubled
     outward as needed; sustained growth past ``CEILING`` means the supremum
     is +inf and raises :class:`NotDominatedError` naming the offending
@@ -131,7 +157,8 @@ def niveloidify(
         )
 
     def shifted_gain(c):
-        return c + _eval(op, g, x - embed(g, ConditionalValue(c)))
+        # c holds one shift per atom on its last axis, a row per probe
+        return c + _eval(op, g, x.values - _spread(g, c))
 
     lo = _per_atom(g, lambda b: b.min(x.values[b.idx])) - 1.0
     hi = _per_atom(g, lambda b: b.max(x.values[b.idx])) + 1.0
@@ -157,14 +184,14 @@ def penalty(
 
     Computed by cyclic coordinate ascent over the states of each atom, at
     most ``PENALTY_SWEEPS`` sweeps, each coordinate maximized to
-    ``PENALTY_XTOL`` by a bracketed golden-section search.  The j-th states
-    of all atoms still climbing are searched together, one operator call
-    per step, which relies on the locality that ``concave`` carries (see
-    the module notes), so the operator must declare it.  A finite result is
-    a lower bound on the true penalty that is exact for coordinate-wise
-    separable operators; an atom stops climbing once a full sweep improves
-    it by less than 1e-12.  An atom is ``inf`` once a coordinate's
-    objective still grows past ``CEILING`` (see
+    ``PENALTY_XTOL`` by a bracketed section search.  The j-th states of all
+    atoms still climbing are searched together, one operator call per step
+    on the trial vectors of all probes, which relies on the locality that
+    ``concave`` carries (see the module notes), so the operator must
+    declare it.  A finite result is a lower bound on the true penalty that
+    is exact for coordinate-wise separable operators; an atom stops
+    climbing once a full sweep improves it by less than 1e-12.  An atom is
+    ``inf`` once a coordinate's objective still grows past ``CEILING`` (see
     :func:`condrisk.scalar_opt.expand_bracket_max`), and its ascent stops
     there.  That is how a density the operator does not price shows, as
     with a shifted expectation and y != 1, where the objective grows
@@ -180,10 +207,10 @@ def penalty(
             f"{op.name!r} declares concave={op.concave}"
         )
     # E[z y | A] is sum_s wy_s z_s over the states of A
-    wy = space.probs * y.values / embed(g, ConditionalValue(atom_masses(space, g))).values
+    wy = space.probs * y.values / _spread(g, atom_masses(space, g))
     starts = np.cumsum(g._sizes) - g._sizes
     z = np.zeros(space.num_states)
-    current = _eval(op, g, RandomVariable(z)).copy()
+    current = _eval(op, g, z).copy()
     climbing = np.ones(g.num_atoms, dtype=bool)
     for _ in range(PENALTY_SWEEPS):
         before = current.copy()
@@ -196,9 +223,11 @@ def penalty(
             rest = _per_atom(g, lambda b: b.dot(wy[b.idx], z[b.idx]))[atoms] - wy[s] * z[s]
 
             def along(c):
-                trial = z.copy()
-                trial[s] = c
-                return _eval(op, g, RandomVariable(trial))[atoms] - (rest + wy[s] * c)
+                # z with coordinate s set to each row of c: one trial vector per probe
+                trial = np.empty(c.shape[:-1] + z.shape)
+                trial[...] = z
+                trial[..., s] = c
+                return _eval(op, g, trial)[..., atoms] - (rest + wy[s] * c)
 
             lo, hi = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
             peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
@@ -280,68 +309,76 @@ def check_niveloid_axioms(
     )}
     witness = {name: None for name in worst}
 
-    def record(name, violation, data):
-        if violation > worst[name]:
-            worst[name] = violation
-            if violation > tol:
-                witness[name] = data
+    def record(name, violations, data):
+        # the first sample of a batch's largest violation, as a loop over
+        # the samples would keep it; its witness is built only when kept
+        i = int(np.argmax(violations))
+        if violations[i] > worst[name]:
+            worst[name] = float(violations[i])
+            if worst[name] > tol:
+                witness[name] = data(i)
 
-    for _ in range(samples):
-        x = RandomVariable(rng.uniform(-3.0, 3.0, n))
-        yv = RandomVariable(x.values - rng.uniform(0.0, 2.0, n))
-        other = RandomVariable(rng.uniform(-3.0, 3.0, n))
-        a = ConditionalValue(rng.uniform(-2.0, 2.0, k))
-        lam = ConditionalValue(rng.uniform(0.0, 1.0, k))
-        mask_bits = rng.integers(0, 2, k)
-        ind = ConditionalValue(mask_bits.astype(float))
+    # samples are drawn one after another, as a loop over them draws them,
+    # and evaluated in batches, seven operator calls a batch; a batch keeps
+    # about eight arrays of its positions alive at once, together within
+    # BLOCK_STATES states, so the check's memory does not grow with samples
+    batch = max(1, BLOCK_STATES // (8 * n))
+    for first in range(0, samples, batch):
+        m = min(batch, samples - first)
+        x, yv, other = np.empty((3, m, n))
+        a, lam = np.empty((2, m, k))
+        on = np.empty((m, k), dtype=bool)
+        for i in range(m):
+            x[i] = rng.uniform(-3.0, 3.0, n)
+            yv[i] = x[i] - rng.uniform(0.0, 2.0, n)
+            other[i] = rng.uniform(-3.0, 3.0, n)
+            a[i] = rng.uniform(-2.0, 2.0, k)
+            lam[i] = rng.uniform(0.0, 1.0, k)
+            on[i] = rng.integers(0, 2, k)
+        fx, fy, fo = _eval(op, g, x), _eval(op, g, yv), _eval(op, g, other)
 
-        fx = _eval(op, g, x)
-        fy = _eval(op, g, yv)
-        fo = _eval(op, g, other)
-
-        shifted = _eval(op, g, x + embed(g, a))
+        shifted = _eval(op, g, x + _spread(g, a))
         record(
             "translation_invariance",
-            float(np.max(np.abs(shifted - (fx + a.values)))),
-            {"x": x.values.tolist(), "a": a.values.tolist()},
+            np.abs(shifted - (fx + a)).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "a": a[i].tolist()},
         )
 
         record(
             "monotonicity",
-            float(np.max(fy - fx)),
-            {"x": x.values.tolist(), "y": yv.values.tolist()},
+            (fy - fx).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "y": yv[i].tolist()},
         )
 
-        mix = embed(g, lam) * x + embed(g, ConditionalValue(1.0 - lam.values)) * other
+        mix = _spread(g, lam) * x + _spread(g, 1.0 - lam) * other
         record(
             "concavity",
-            float(np.max(lam.values * fx + (1.0 - lam.values) * fo - _eval(op, g, mix))),
-            {"x": x.values.tolist(), "y": other.values.tolist(), "lam": lam.values.tolist()},
+            (lam * fx + (1.0 - lam) * fo - _eval(op, g, mix)).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "y": other[i].tolist(), "lam": lam[i].tolist()},
         )
 
-        ind_states = embed(g, ind)
+        ind_states = _spread(g, on.astype(float))
         masked = _eval(op, g, ind_states * x)
-        on = mask_bits.astype(bool)
-        if on.any():
-            record(
-                "locality",
-                float(np.max(np.abs(masked[on] - fx[on]))),
-                {"x": x.values.tolist(), "set_atoms": np.nonzero(on)[0].tolist()},
-            )
+        # a sample with no atom in the set has nothing to check: -inf
+        record(
+            "locality",
+            np.where(on, np.abs(masked - fx), -np.inf).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "set_atoms": np.flatnonzero(on[i]).tolist()},
+        )
         spliced = ind_states * x + (1.0 - ind_states) * other
         glued = np.where(on, fx, fo)
         record(
             "regularity",
-            float(np.max(np.abs(_eval(op, g, spliced) - glued))),
-            {"x": x.values.tolist(), "y": other.values.tolist(),
-             "set_atoms": np.nonzero(on)[0].tolist()},
+            np.abs(_eval(op, g, spliced) - glued).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "y": other[i].tolist(),
+                       "set_atoms": np.flatnonzero(on[i]).tolist()},
         )
 
-        gap = cond_sup_norm(space, g, x - other).values
+        gap = _cond_max(g, np.abs(x - other))
         record(
             "lipschitz",
-            float(np.max(np.abs(fx - fo) - gap)),
-            {"x": x.values.tolist(), "y": other.values.tolist()},
+            (np.abs(fx - fo) - gap).max(axis=1),
+            lambda i: {"x": x[i].tolist(), "y": other[i].tolist()},
         )
 
     checks = tuple(
@@ -357,7 +394,7 @@ def check_niveloid_axioms(
 def expectation_operator(space: FiniteProbabilitySpace, g: Partition) -> ConditionalOperator:
     """Conditional expectation; the risk-neutral niveloid."""
     return ConditionalOperator(
-        evaluate=lambda x: cond_expectation(space, g, x),
+        evaluate=lambda z: _cond_mean(g, space.probs, z),
         monotone=True,
         concave=True,
         name="expectation",
@@ -367,7 +404,7 @@ def expectation_operator(space: FiniteProbabilitySpace, g: Partition) -> Conditi
 def entropic_operator(space: FiniteProbabilitySpace, g: Partition) -> ConditionalOperator:
     """Conditional entropic risk -log E[exp(-x) | G]; a strict niveloid."""
     return ConditionalOperator(
-        evaluate=lambda x: entropic_risk(space, g, x),
+        evaluate=lambda z: _entropic(space, g, z),
         monotone=True,
         concave=True,
         name="entropic",
@@ -380,7 +417,7 @@ def iphi_operator(
     """Base functional -E[phi_star(-x) | G]: monotone and concave but not
     translation invariant, hence the canonical niveloidify input."""
     return ConditionalOperator(
-        evaluate=lambda x: i_phi(space, g, gen, x),
+        evaluate=lambda z: _i_phi(space, g, gen, z),
         monotone=True,
         concave=True,
         name=f"iphi:{gen.name}",
@@ -389,13 +426,11 @@ def iphi_operator(
 
 def atom_min_operator(space: FiniteProbabilitySpace, g: Partition) -> ConditionalOperator:
     """Per-atom worst case min_A x; the most conservative niveloid."""
-
-    def evaluate(x: RandomVariable) -> ConditionalValue:
-        _check_rv(space, x)
-        return ConditionalValue(_per_atom(g, lambda b: b.min(x.values[b.idx])))
-
     return ConditionalOperator(
-        evaluate=evaluate, monotone=True, concave=True, name="min"
+        evaluate=lambda z: _per_atom(g, lambda b: b.min(b.take(z))),
+        monotone=True,
+        concave=True,
+        name="min",
     )
 
 
@@ -404,10 +439,9 @@ def squared_expectation_operator(
 ) -> ConditionalOperator:
     """E[x | G] squared: deliberately breaks translation invariance and
     monotonicity, kept as the stock counterexample for the axiom checker."""
-
-    def evaluate(x: RandomVariable) -> ConditionalValue:
-        return ConditionalValue(cond_expectation(space, g, x).values ** 2)
-
     return ConditionalOperator(
-        evaluate=evaluate, monotone=False, concave=False, name="sq-expectation"
+        evaluate=lambda z: _cond_mean(g, space.probs, z) ** 2,
+        monotone=False,
+        concave=False,
+        name="sq-expectation",
     )

@@ -177,8 +177,12 @@ def i_phi(
     """
     _check_pair(space, g)
     _check_rv(space, x)
-    star = np.asarray(gen.phi_star(-x.values), dtype=float)
-    return ConditionalValue(-_cond_mean(g, space.probs, star))
+    return ConditionalValue(_i_phi(space, g, gen, x.values))
+
+
+def _i_phi(space, g, gen, v: np.ndarray) -> np.ndarray:
+    """-E[phi_star(-v) | G] for each row of v."""
+    return -_cond_mean(g, space.probs, np.asarray(gen.phi_star(-v), dtype=float))
 
 
 def entropic_risk(
@@ -193,13 +197,18 @@ def entropic_risk(
     """
     _check_pair(space, g)
     _check_rv(space, x)
+    return ConditionalValue(_entropic(space, g, x.values))
+
+
+def _entropic(space, g, v: np.ndarray) -> np.ndarray:
+    """-log E[exp(-v) | G] for each row of v."""
 
     def risk(b):
         p = space.probs[b.idx]
-        neg = -x.values[b.idx]
+        neg = -b.take(v)
         m = b.max(neg)
         with np.errstate(over="ignore"):
             shifted = neg - b.spread(m)
         return -(m + np.log(b.dot(p, np.exp(shifted)) / b.sum(p)))
 
-    return ConditionalValue(_per_atom(g, risk))
+    return _per_atom(g, risk)

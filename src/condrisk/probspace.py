@@ -18,7 +18,9 @@ atom is a block of its own).  Its ``atoms`` and per-atom index arrays are
 read back from that layout.  Every conditional reduction runs on the
 blocks with segmented numpy sums (``np.add.reduceat``), so the cost per
 call grows with the number of blocks, not of atoms, and the temporaries
-stay within one block.
+stay within one block.  The reductions act on the trailing axis, so the
+code that reduces one position also reduces a batch of them, one per row,
+as the niveloid operators take them.
 
 All operations are pure functions of their inputs and are safe to call from
 multiple threads.
@@ -122,10 +124,10 @@ class _Block:
 
     ``atoms`` is the block's range of atom indices, ``idx`` lists its states
     atom after atom (a view into the partition's state order) and ``starts``
-    the offset of each atom in ``idx``.  The reductions take
-    block-ordered vectors such as ``v[idx]`` and return one value per atom.
-    A block of one atom reduces with a plain sum or dot and spreads a
-    scalar, the arithmetic of an atom-by-atom loop.
+    the offset of each atom in ``idx``.  The reductions act on the trailing
+    axis of block-ordered arrays such as ``take(v)``, one position per row,
+    and return one value per atom and row.  A block of one atom reduces
+    with a plain sum or dot per row, the arithmetic of an atom-by-atom loop.
     """
 
     atoms: slice
@@ -133,27 +135,36 @@ class _Block:
     starts: np.ndarray
     sizes: np.ndarray
 
+    def take(self, v: np.ndarray) -> np.ndarray:
+        """The block's states of v, in block order, on the trailing axis."""
+        # v[..., idx] would lay a batch out column by column
+        return v[self.idx] if v.ndim == 1 else np.take(v, self.idx, axis=-1)
+
+    # A one-atom block sums each row as one contiguous vector, as for a
+    # single position: numpy and BLAS round a strided row, or a
+    # matrix-vector product, differently from a contiguous dot.
     def sum(self, v: np.ndarray) -> np.ndarray:
         if self.starts.size == 1:
-            return np.array([v.sum()])
-        return np.add.reduceat(v, self.starts)
+            return np.ascontiguousarray(v).sum(axis=-1, keepdims=True)
+        return np.add.reduceat(v, self.starts, axis=-1)
 
     def dot(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-atom sums of w * v for a weight vector w."""
         if self.starts.size == 1:
-            return np.array([w @ v])
-        return np.add.reduceat(w * v, self.starts)
+            return np.ascontiguousarray(v)[..., None, :] @ w
+        return np.add.reduceat(w * v, self.starts, axis=-1)
 
     def max(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(v, self.starts)
+        return np.maximum.reduceat(v, self.starts, axis=-1)
 
     def min(self, v: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(v, self.starts)
+        return np.minimum.reduceat(v, self.starts, axis=-1)
 
-    def spread(self, a: np.ndarray):
-        """Per-atom values repeated over the block's states."""
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        """Per-atom values repeated over the block's states (broadcast for one atom)."""
         if self.starts.size == 1:
-            return a[0]
-        return np.repeat(a, self.sizes)
+            return a
+        return np.repeat(a, self.sizes, axis=-1)
 
 
 def _some(indices: np.ndarray) -> str:
@@ -371,18 +382,31 @@ def _check_cv(g: Partition, a: ConditionalValue, what: str = "a") -> None:
 
 
 def _per_atom(g: Partition, reduce) -> np.ndarray:
-    """``reduce(block)`` over the blocks of g, concatenated: one value per atom."""
-    return np.concatenate([reduce(b) for b in g._blocks])
+    """``reduce(block)`` over the blocks of g, joined on the trailing axis: one value per atom."""
+    return np.concatenate([reduce(b) for b in g._blocks], axis=-1)
 
 
 def _cond_mean(g: Partition, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-atom weighted mean sum(w_s v_s) / sum(w_s) of state-indexed arrays."""
+    """Per-atom weighted mean sum(w_s v_s) / sum(w_s) of the rows of v."""
 
     def mean(b):
         w = weights[b.idx]
-        return b.dot(w, v[b.idx]) / b.sum(w)
+        return b.dot(w, b.take(v)) / b.sum(w)
 
     return _per_atom(g, mean)
+
+
+def _cond_max(g: Partition, v: np.ndarray) -> np.ndarray:
+    """Per-atom maximum of the rows of v."""
+    return _per_atom(g, lambda b: b.max(b.take(v)))
+
+
+def _spread(g: Partition, a: np.ndarray) -> np.ndarray:
+    """Rows of per-atom values spread out to the states of each atom."""
+    out = np.empty(a.shape[:-1] + (g.num_states,))
+    for b in g._blocks:
+        out[..., b.idx] = b.spread(a[..., b.atoms])
+    return out
 
 
 def atom_masses(space: FiniteProbabilitySpace, g: Partition) -> np.ndarray:
@@ -414,8 +438,7 @@ def cond_sup_norm(
     """
     _check_pair(space, g)
     _check_rv(space, x)
-    ax = np.abs(x.values)
-    return ConditionalValue(_per_atom(g, lambda b: b.max(ax[b.idx])))
+    return ConditionalValue(_cond_max(g, np.abs(x.values)))
 
 
 def cond_p_norm(
@@ -443,10 +466,7 @@ def embed(g: Partition, a: ConditionalValue) -> RandomVariable:
     on every state of atom i.
     """
     _check_cv(g, a)
-    out = np.empty(g.num_states)
-    for b in g._blocks:
-        out[b.idx] = b.spread(a.values[b.atoms])
-    return RandomVariable(out)
+    return RandomVariable(_spread(g, a.values))
 
 
 def restrict_mask(

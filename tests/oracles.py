@@ -106,8 +106,9 @@ def niveloidify_bruteforce(
 
     Any declared flags are ignored: this is the oracle one runs when the
     operator's shape is in doubt, so it must not lean on it.  Cost is
-    grid**(num_states + num_atoms) operator calls; spaces with more than 3
-    states are refused.  If the grid supremum is still climbing at either
+    grid**num_atoms operator calls, each on the grid**num_states positions
+    of the y-grid, one per row; spaces with more than 3 states are
+    refused.  If the grid supremum is still climbing at either
     end of the shift range the operator is flagged as not dominated (shrink
     the shift toward -inf or +inf and the completion diverges).
     """
@@ -138,15 +139,15 @@ def niveloidify_bruteforce(
             tops = x.values
         else:
             tops = x.values - a_states
+        # the whole y-grid, grid**num_states positions, in one operator call
         axes = [np.linspace(top - BRUTEFORCE_DEPTH, top, grid) for top in tops]
-        for combo in itertools.product(*axes):
-            y = np.asarray(combo)
-            z = y - a_states if order == "y_then_a" else y
-            vals = a_atoms + _eval(op, g, RandomVariable(z))
-            best = np.maximum(best, vals)
-            for i in range(g.num_atoms):
-                if vals[i] > by_level[i, levels[i]]:
-                    by_level[i, levels[i]] = vals[i]
+        y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, space.num_states)
+        z = y - a_states if order == "y_then_a" else y
+        vals = (a_atoms + _eval(op, g, z)).max(axis=0)
+        best = np.maximum(best, vals)
+        at = (np.arange(g.num_atoms), levels)
+        by_level[at] = np.maximum(by_level[at], vals)
+
     def still_climbing(i, end, inward):
         slack = 1e-9 * (1.0 + abs(by_level[i, end]))
         return by_level[i, end] >= best[i] and by_level[i, end] > by_level[i, inward] + slack

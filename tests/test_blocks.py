@@ -242,7 +242,7 @@ def test_probspace_reductions_match_per_atom_loops(case):
     assert_close(cond_expectation(space, g, x).values, per_atom(g, lambda i: p[i] @ xv[i] / p[i].sum()))
     assert_close(cond_sup_norm(space, g, x).values, per_atom(g, lambda i: np.abs(xv[i]).max()))
     np.testing.assert_array_equal(
-        atom_min_operator(space, g).evaluate(x).values, per_atom(g, lambda i: xv[i].min())
+        atom_min_operator(space, g).evaluate(xv[None, :])[0], per_atom(g, lambda i: xv[i].min())
     )
     for q in (1.0, 2.5):
         ref = per_atom(g, lambda i: (p[i] @ np.abs(xv[i]) ** q / p[i].sum()) ** (1.0 / q))

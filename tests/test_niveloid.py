@@ -22,6 +22,7 @@ from condrisk import (
     density_to_measure,
     embed,
     entropic_operator,
+    entropic_risk,
     expectation_operator,
     i_phi,
     iphi_operator,
@@ -30,6 +31,8 @@ from condrisk import (
     penalty,
     squared_expectation_operator,
 )
+from condrisk.niveloid import _eval
+from condrisk.probspace import BLOCK_STATES
 from conftest import BUILTIN_NAMES, random_density, random_instance
 from oracles import niveloidify_bruteforce
 
@@ -51,11 +54,22 @@ def tiny_instance(rng, max_states=3, lo=-2.0, hi=2.0):
     return space, g, RandomVariable(rng.uniform(lo, hi, n))
 
 
+def row_by_row(fn):
+    """An ``evaluate`` from a map of one position to its ConditionalValue:
+    the operator contract's (m, n) positions in, (m, k) values out."""
+    return lambda z: np.array([fn(RandomVariable(row)).values for row in z])
+
+
+def at(op, x):
+    """The operator's values at one position, as a one-row batch."""
+    return op.evaluate(x.values[None, :])[0]
+
+
 def scaled_expectation_operator(space, g, factor):
     """Monotone concave but translation-amplifying/-damping; its completion
     diverges, which makes it the stock not-dominated example."""
     return ConditionalOperator(
-        evaluate=lambda z: ConditionalValue(factor * cond_expectation(space, g, z).values),
+        evaluate=row_by_row(lambda z: ConditionalValue(factor * cond_expectation(space, g, z).values)),
         monotone=True,
         concave=True,
         name=f"expectation-x{factor:g}",
@@ -71,9 +85,7 @@ class TestNiveloidify:
                 space, g, x = random_instance(rng, max_states=8)
                 op = make(space, g)
                 out = niveloidify(space, g, op, x)
-                np.testing.assert_allclose(
-                    out.values, op.evaluate(x).values, rtol=0, atol=1e-8
-                )
+                np.testing.assert_allclose(out.values, at(op, x), rtol=0, atol=1e-8)
 
     def test_completion_of_the_base_functional_is_the_certainty_equivalent(self):
         rng = np.random.default_rng(61)
@@ -102,7 +114,7 @@ class TestNiveloidify:
             space, g, x = random_instance(rng, max_states=8)
             op = iphi_operator(space, g, builtin_generator("kl"))
             out = niveloidify(space, g, op, x).values
-            assert np.all(out >= op.evaluate(x).values - 1e-8)
+            assert np.all(out >= at(op, x) - 1e-8)
 
     def test_minimality_on_sampled_decompositions(self):
         # any feasible split x >= a + y forces a + op(y) <= the completion,
@@ -116,7 +128,7 @@ class TestNiveloidify:
                 a = ConditionalValue(rng.uniform(-2.0, 2.0, g.num_atoms))
                 slack = rng.uniform(0.0, 1.0, space.num_states)
                 y = RandomVariable(x.values - embed(g, a).values - slack)
-                cand = a.values + op.evaluate(y).values
+                cand = a.values + at(op, y)
                 assert np.all(cand <= out + 1e-8)
 
     def test_plateau_objective_converges(self):
@@ -129,7 +141,9 @@ class TestNiveloidify:
             def capped(z):
                 return ConditionalValue(np.minimum(cond_expectation(space, g, z).values, 0.0))
 
-            op = ConditionalOperator(evaluate=capped, monotone=True, concave=True, name="capped")
+            op = ConditionalOperator(
+                evaluate=row_by_row(capped), monotone=True, concave=True, name="capped"
+            )
             out = niveloidify(space, g, op, x)
             np.testing.assert_allclose(
                 out.values, cond_expectation(space, g, x).values, rtol=0, atol=1e-8
@@ -145,6 +159,7 @@ class TestNiveloidify:
     def test_rejects_misbehaved_evaluate(self):
         space = uniform_space(2)
         g = Partition.trivial(2)
+        # each row back unchanged: one entry per state, not per atom
         op = ConditionalOperator(evaluate=lambda z: z, monotone=True, concave=True, name="echo")
         with pytest.raises(ValueError, match="one entry per atom"):
             niveloidify(space, g, op, RandomVariable([0.0, 1.0]))
@@ -167,7 +182,9 @@ class TestNiveloidify:
             base = cond_expectation(space, g, z).values
             return ConditionalValue([2.0 * base[0], base[1]])
 
-        op = ConditionalOperator(evaluate=lopsided, monotone=True, concave=True, name="lopsided")
+        op = ConditionalOperator(
+            evaluate=row_by_row(lopsided), monotone=True, concave=True, name="lopsided"
+        )
         with pytest.raises(NotDominatedError) as err:
             niveloidify(space, g, op, RandomVariable([0.0, 1.0, -1.0, 2.0]))
         assert err.value.atoms == (0,)
@@ -182,7 +199,8 @@ class TestNiveloidify:
 
     def test_operator_calls_do_not_grow_with_the_atoms(self):
         # the atoms are searched together, so 50 atoms of the same shape as 5
-        # take the same operator calls, and give the same values
+        # take the same operator calls, and give the same values; a call is
+        # one batch of positions, whatever its rows
         sizes = [2, 3, 1, 4, 2]
         rng = np.random.default_rng(72)
         p5, x5 = rng.uniform(0.5, 1.5, sum(sizes)), rng.uniform(-3.0, 3.0, sum(sizes))
@@ -196,13 +214,65 @@ class TestNiveloidify:
 
             def counted(z, inner=inner, count=count):
                 count[0] += 1
-                return inner.evaluate(z)
+                return np.array([inner.evaluate(row[None, :])[0] for row in z])
 
             op = ConditionalOperator(evaluate=counted, monotone=True, concave=True, name="counted")
             out = niveloidify(space, g, op, RandomVariable(np.tile(x5, copies))).values
             calls[copies] = count[0]
             np.testing.assert_allclose(out, np.tile(out[: len(sizes)], copies), rtol=0, atol=1e-12)
         assert calls[1] == calls[10]
+
+
+def contract_partitions(rng):
+    """One block of several atoms, a one-atom block, and more than
+    BLOCK_STATES states in several blocks (one of them a single large atom)."""
+    sizes = np.concatenate([rng.integers(1, 13, 3000), [BLOCK_STATES + 1], rng.integers(1, 13, 50)])
+    out = []
+    for sizes in ([3, 4, 1, 4], [7], sizes):
+        n = int(np.sum(sizes))
+        probs = rng.uniform(0.5, 1.5, n)
+        space = FiniteProbabilitySpace([f"s{i}" for i in range(n)], probs / probs.sum())
+        out.append((space, Partition(np.split(rng.permutation(n), np.cumsum(sizes)[:-1]))))
+    return out
+
+
+class TestBatchContract:
+    """``evaluate`` maps (m, n) positions to (m, k) values, row by row."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_rows_of_a_batch_are_one_row_calls(self, case):
+        rng = np.random.default_rng(90)
+        space, g = contract_partitions(rng)[case]
+        z = rng.uniform(-3.0, 3.0, (5, space.num_states))
+        ops = [make(space, g) for make in (
+            expectation_operator, entropic_operator, atom_min_operator, squared_expectation_operator,
+        )] + [iphi_operator(space, g, builtin_generator(name)) for name in BUILTIN_NAMES]
+        for op in ops:
+            batch = op.evaluate(z)
+            assert batch.shape == (5, g.num_atoms), op.name
+            for i in range(5):
+                np.testing.assert_array_equal(batch[i], op.evaluate(z[i : i + 1])[0], err_msg=op.name)
+        # and the one-row case is the public function's arithmetic
+        x = RandomVariable(z[0])
+        np.testing.assert_array_equal(at(ops[0], x), cond_expectation(space, g, x).values)
+        np.testing.assert_array_equal(at(ops[1], x), entropic_risk(space, g, x).values)
+        np.testing.assert_array_equal(at(ops[3], x), cond_expectation(space, g, x).values ** 2)
+        gen = builtin_generator(BUILTIN_NAMES[0])
+        np.testing.assert_array_equal(at(ops[4], x), i_phi(space, g, gen, x).values)
+
+    def test_eval_checks_the_shape_and_finiteness_of_every_call(self):
+        space = uniform_space(4)
+        g = Partition([[0, 1], [2, 3]])
+        z = np.zeros((3, 4))
+        wide = ConditionalOperator(evaluate=lambda z: np.zeros((len(z), 3)), name="wide")
+        with pytest.raises(ValueError, match="'wide' must return an array with one entry per atom"):
+            _eval(wide, g, z)
+        nan = ConditionalOperator(evaluate=lambda z: np.where(z[:, :2] > 0, np.nan, 0.0), name="nan")
+        with pytest.raises(ValueError, match="'nan' must return finite values"):
+            _eval(nan, g, z + np.array([[0.0], [0.0], [1.0]]))
+        np.testing.assert_array_equal(_eval(nan, g, z), np.zeros((3, 2)))
+        # a single position is a batch of one, and comes back as one row of values
+        assert _eval(expectation_operator(space, g), g, np.arange(4.0)).shape == (2,)
 
 
 class TestBruteForce:
@@ -290,7 +360,7 @@ class TestPenalty:
         g = Partition.trivial(2)
         huge = RandomVariable([1e200, 1e200])
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            squared_expectation_operator(space, g).evaluate(huge)
+            _eval(squared_expectation_operator(space, g), g, huge.values)
         with pytest.raises(ValueError, match="finite"):
             ConditionalValue([np.inf])
         out = penalty(space, g, expectation_operator(space, g), ConditionalDensity([1.5, 0.5]))
@@ -339,10 +409,10 @@ class TestPenalty:
 
         def mixed(z):
             return ConditionalValue(
-                [cond_expectation(space, g, z).values[0], entropic_operator(space, g).evaluate(z).values[1]]
+                [cond_expectation(space, g, z).values[0], at(entropic_operator(space, g), z)[1]]
             )
 
-        op = ConditionalOperator(evaluate=mixed, monotone=True, concave=True, name="mixed")
+        op = ConditionalOperator(evaluate=row_by_row(mixed), monotone=True, concave=True, name="mixed")
         y = ConditionalDensity([1.5, 0.5, 1.6, 0.4])
         out = penalty(space, g, op, y).values
         ref = cond_divergence(space, g, builtin_generator("kl"), density_to_measure(space, g, y)).values
@@ -385,7 +455,7 @@ class TestAxiomChecker:
         g = Partition([[0, 1], [2]])
         inner = iphi_operator(space, g, builtin_generator("kl"))
         completed = ConditionalOperator(
-            evaluate=lambda z: niveloidify(space, g, inner, z),
+            evaluate=row_by_row(lambda z: niveloidify(space, g, inner, z)),
             monotone=True,
             concave=True,
             name="completed",

@@ -81,6 +81,8 @@ class TestBisect:
 
 
 class TestGoldenSection:
+    """``golden_section_max``: the section search of ``PROBES`` points per step."""
+
     def test_parabola(self):
         res = golden_section_max(lambda x: -((x - 2.0) ** 2), 0.0, 5.0, xtol=1e-10)
         assert abs(res.x - 2.0) <= 1e-8
@@ -99,6 +101,23 @@ class TestGoldenSection:
     def test_tiny_interval_short_circuits(self):
         res = golden_section_max(lambda x: -x * x, 1.0, 1.0 + 1e-12, xtol=1e-10)
         assert res.iterations == 0
+
+    def test_stops_at_float_resolution(self):
+        # near 1e6 floats are 1.2e-10 apart, so a 1e-12 width is out of
+        # reach: the bracket stops once a step no longer narrows it
+        res = golden_section_max(lambda x: -((x - 1e6 - 0.3) ** 2), 1e6, 1e6 + 1.0, xtol=1e-12)
+        assert not res.converged
+        assert res.iterations < 30
+        assert abs(res.x - (1e6 + 0.3)) <= 2e-10
+
+    def test_probes_arrive_as_rows_and_scalar_brackets_as_floats(self):
+        seen = []
+        golden_section_max(lambda t: seen.append(np.shape(t)) or -(t**2), np.zeros(3), np.ones(3), xtol=1e-3)
+        assert seen[0] == (2, 3)  # the two ends of every bracket
+        assert set(seen[1:]) == {(scalar_opt.PROBES, 3)}
+        floats = []
+        golden_section_max(lambda t: floats.append(type(t)) or -t * t, 0.0, 1.0, xtol=1e-3)
+        assert set(floats) == {float}
 
     @given(st.floats(-50.0, 50.0))
     @settings(max_examples=50, deadline=None)
@@ -156,8 +175,14 @@ def fields(res):
 
 
 def batched(objectives):
-    """One objective per bracket, evaluated at one point each."""
-    return lambda t: np.array([f(v) for f, v in zip(objectives, t)])
+    """One objective per bracket, evaluated at each point of its column: one
+    point per bracket, or the rows of probes of a section-search step."""
+
+    def f(t):
+        rows = np.reshape(t, (-1, len(objectives)))
+        return np.array([[g(v) for g, v in zip(objectives, row)] for row in rows]).reshape(np.shape(t))
+
+    return f
 
 
 def test_batched_golden_follows_its_scalar_steps():
@@ -199,3 +224,22 @@ def test_batched_expansion_follows_its_scalar_steps(min_lo):
     assert many[1][4] == math.inf
     assert many[0][5] == (-math.inf if min_lo is None else 0.0)
     assert many[0][2] <= -40.0 if min_lo is None else many[0][2] == 0.0
+
+
+def test_steps_within_the_section_bound():
+    # a bracket narrows (PROBES + 1) / 2 times per step at least
+    rng = np.random.default_rng(3)
+    n = 300
+    lo = rng.uniform(-10.0, 10.0, n)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 3.0, n)
+    xtol = 10.0 ** rng.uniform(-11.0, -7.0, n)
+    # peaks inside, at either end, and beyond either end
+    peak = lo + (hi - lo) * rng.choice([0.0, 1.0, -0.5, 1.5, 0.5, 0.37, 0.999], n)
+    kink = rng.integers(0, 2, n).astype(bool)
+    res = golden_section_max(
+        lambda t: np.where(kink, -np.abs(t - peak), -((t - peak) ** 2)), lo, hi, xtol=xtol
+    )
+    bound = np.ceil(np.log((hi - lo) / xtol) / np.log((scalar_opt.PROBES + 1) / 2))
+    assert np.all(res.iterations <= bound)
+    assert res.converged.all()
+    assert np.all(np.abs(res.x - np.clip(peak, lo, hi)) <= np.where(kink, xtol, np.sqrt(xtol)))
