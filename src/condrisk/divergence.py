@@ -95,6 +95,12 @@ class DivergenceGenerator:
     ``DivergenceGenerator(name, phi)`` is a complete generator.
     ``phi_prime`` is the right derivative of phi on (0, inf) and may be None
     for generators defined only through phi.
+
+    ``mean_one_root``, when given, replaces the multiplier search by a
+    closed form: ``mean_one_root(b, w, v)`` takes a partition block and
+    block-ordered weights w and payoffs v, and returns per atom of the block
+    the t solving E_w[phi_star'(t - v) | A] = 1.  Only the built-in "kl"
+    sets it (t = -log E_w[exp(-v) | A]); every other generator is searched.
     """
 
     name: str
@@ -102,6 +108,7 @@ class DivergenceGenerator:
     phi_star: Optional[Callable] = None
     phi_star_prime: Optional[Callable] = None
     phi_prime: Optional[Callable] = None
+    mean_one_root: Optional[Callable] = None
 
     def __post_init__(self):
         object.__setattr__(self, "phi_star", self.phi_star or partial(_conjugate, self.phi))
@@ -114,6 +121,20 @@ def _kl_phi(t):
     return t * np.log(np.where(t == 0.0, 1.0, t)) - t + 1.0
 
 
+def _neg_log_mean_exp(b, p, v) -> np.ndarray:
+    """-log E_p[exp(-v) | A] per atom of a block, for weights p and rows v in block order.
+
+    A segmented log-sum-exp shifted by each atom's min of v, so no term
+    overflows; a shifted term that overflows to -inf contributes
+    exp(-inf) = 0, the exact limit.  It is the entropic risk of v, and the
+    t at which exp(t - v) has conditional mean one: KL's multiplier.
+    """
+    lo = b.min(v)
+    with np.errstate(over="ignore"):
+        shifted = b.spread(lo) - v
+    return lo - np.log(b.dot(p, np.exp(shifted)) / b.sum(p))
+
+
 def _kl_generator() -> DivergenceGenerator:
     return DivergenceGenerator(
         name="kl",
@@ -121,6 +142,7 @@ def _kl_generator() -> DivergenceGenerator:
         phi_star=np.expm1,
         phi_star_prime=np.exp,
         phi_prime=np.log,
+        mean_one_root=_neg_log_mean_exp,
     )
 
 
@@ -208,9 +230,11 @@ def _conjugate_search(phi, m):
     def h(t):
         return m * t - np.asarray(phi(t), dtype=float)
 
-    lo, hi = expand_bracket_max(h, np.zeros_like(m), np.ones_like(m), ceiling=T_CAP, min_lo=0.0)
+    lo, hi, f_lo, f_hi = expand_bracket_max(
+        h, np.zeros_like(m), np.ones_like(m), ceiling=T_CAP, min_lo=0.0
+    )
     xtol = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    peak = golden_section_max(h, lo, hi, xtol=xtol)
+    peak = golden_section_max(h, lo, hi, f_lo, f_hi, xtol=xtol)
     return np.reshape(peak.x, shape)[()], np.reshape(peak.value, shape)[()]
 
 

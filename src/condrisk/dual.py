@@ -95,7 +95,9 @@ def duality_gap(
     error of the conjugate identity phi(y) + phi_star(m) = m y at
     m = lambda - x, y = phi_star'(m), together with the renormalization of y.
     It is a self-check of the value and density formulas, not of the search;
-    the independent oracles are :func:`condrisk.oce.entropic_risk` and the
-    simplex grid of the test suite (``tests/oracles.py``).
+    the independent oracle is the simplex grid of the test suite
+    (``tests/oracles.py``), and :func:`condrisk.oce.entropic_risk` for a
+    searched KL generator only, since the built-in KL takes its multiplier
+    from the same log-sum-exp.
     """
     return _solve(space, g, gen, x, tol, _block_gap)

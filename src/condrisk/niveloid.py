@@ -21,8 +21,9 @@ with one operator call.  An operator evaluates a batch of positions, one
 per row, so that call also carries all ``PROBES`` points of a step of the
 section search (:func:`condrisk.scalar_opt.golden_section_max`):
 :func:`niveloidify` and each line search of :func:`penalty` make one call
-per search step, and :func:`check_niveloid_axioms` seven per batch of
-samples.
+per search step (the section search starts from the values at the bracket
+ends that the bracket expansion has computed), and
+:func:`check_niveloid_axioms` seven per batch of samples.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def niveloidify(
 
     lo = _per_atom(g, lambda b: b.min(x.values[b.idx])) - 1.0
     hi = _per_atom(g, lambda b: b.max(x.values[b.idx])) + 1.0
-    lo, hi = expand_bracket_max(shifted_gain, lo, hi, ceiling=CEILING)
-    peak = golden_section_max(shifted_gain, lo, hi, xtol=tol)
+    bracket = expand_bracket_max(shifted_gain, lo, hi, ceiling=CEILING)
+    peak = golden_section_max(shifted_gain, *bracket, xtol=tol)
     unbounded = np.flatnonzero(np.isinf(peak.value)).tolist()
     if unbounded:
         raise NotDominatedError(
@@ -229,8 +230,8 @@ def penalty(
                 trial[..., s] = c
                 return _eval(op, g, trial)[..., atoms] - (rest + wy[s] * c)
 
-            lo, hi = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
-            peak = golden_section_max(along, lo, hi, xtol=PENALTY_XTOL)
+            bracket = expand_bracket_max(along, z[s] - 1.0, z[s] + 1.0, ceiling=CEILING)
+            peak = golden_section_max(along, *bracket, xtol=PENALTY_XTOL)
             up = peak.value > current[atoms]
             current[atoms[up]] = peak.value[up]
             grew = np.isinf(peak.value)

@@ -15,8 +15,12 @@ tol within one step beyond bisection's ceil(log2(range / tol)), all atoms of
 a partition block at once; the search also waits for the slope residual to
 fall below tol, which adds steps where the root lies near a kink of
 phi_star'.  Every generator carries phi_star' (synthesized from phi
-when not given), so this search is the only one.  The maximizer is also the
-dual KKT multiplier, so it is the package's only multiplier solve:
+when not given), so every generator can be searched.  A generator whose
+``mean_one_root`` gives the root in closed form is not: for the built-in
+KL, E[exp(a - x) | A] = 1 solves to a = -log E[exp(-x) | A], the
+log-sum-exp of :func:`entropic_risk` (Ben-Tal & Teboulle, Math. Finance
+17(3), 2007).  The maximizer is also the dual KKT multiplier, so this is
+the package's only multiplier solve:
 :func:`oce_primal`, :func:`condrisk.dual.oce_dual` and
 :func:`condrisk.dual.duality_gap` each run it once per block and evaluate
 their own value at it, and all three return it in one result type,
@@ -31,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .divergence import ConditionalDensity, DivergenceGenerator
+from .divergence import ConditionalDensity, DivergenceGenerator, _neg_log_mean_exp
 from .probspace import (
     ConditionalValue,
     FiniteProbabilitySpace,
@@ -61,7 +65,9 @@ class OceSolution:
 |primal - dual| for :func:`condrisk.dual.duality_gap`.
     ``residuals[A]`` is the final bracket width of the search, which runs in
     coordinates centred at max_A x: a bound on how far ``multiplier[A]`` can
-    sit from the true maximizer, up to the rounding of moving it back.
+    sit from the true maximizer, up to the rounding of moving it back.  A
+    closed-form root (built-in KL) and a single-state atom leave no bracket:
+    0.0, with ``iterations[A]`` 0.
     ``density`` is the dual's minimizing density, renormalized atom by atom
     to conditional mean one, and None where the solve does not compute it.
     """
@@ -90,7 +96,9 @@ def _solve(space, g, gen, x, tol, evaluate, density=None) -> OceSolution:
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
     of a block are searched together, with one phi_star' call over the
     block's states per step; each atom takes the steps its own scalar search
-    would.  ``evaluate(gen, b, w, xa, c, t)`` gets the block, its conditional
+    would.  A generator's ``mean_one_root`` replaces the search by one call
+    per block on the same centred payoffs, its root clipped to the bracket.
+    ``evaluate(gen, b, w, xa, c, t)`` gets the block, its conditional
     weights w and payoffs (block-ordered), c and t, and gives the block's
     values; ``density``, a state vector it fills, becomes the result's.
     """
@@ -121,11 +129,17 @@ def _solve(space, g, gen, x, tol, evaluate, density=None) -> OceSolution:
                     f"atom A{b.atoms.start + int(bad[0])}: the payoff range max - min "
                     "overflows a float"
                 )
-            r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
-        values.append(evaluate(gen, b, w, xa, c, r.x))
-        lam.append(c + r.x)
-        residuals.append(r.bracket_width)
-        iters.append(r.iterations)
+            if gen.mean_one_root is None:
+                r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
+                t, width, steps = r.x, r.bracket_width, r.iterations
+            else:
+                # the root in closed form, kept in the search's bracket [lo, 0]
+                t = np.minimum(np.maximum(gen.mean_one_root(b, w, xc), lo), 0.0)
+                width, steps = np.zeros_like(lo), np.zeros(lo.shape, dtype=int)
+        values.append(evaluate(gen, b, w, xa, c, t))
+        lam.append(c + t)
+        residuals.append(width)
+        iters.append(steps)
     return OceSolution(
         value=ConditionalValue(np.concatenate(values)),
         multiplier=ConditionalValue(np.concatenate(lam)),
@@ -192,8 +206,9 @@ def entropic_risk(
 
     Closed form of the certainty equivalent for the relative-entropy
     generator; evaluated as a segmented log-sum-exp shifted by each atom's
-    max of -x, so large positions cannot overflow.  A shifted term that
-    overflows to -inf contributes exp(-inf) = 0, the exact limit.
+    min of x, so large positions cannot overflow.  A shifted term that
+    overflows to -inf contributes exp(-inf) = 0, the exact limit.  The same
+    log-sum-exp gives the multiplier of built-in "kl" in :func:`oce_primal`.
     """
     _check_pair(space, g)
     _check_rv(space, x)
@@ -202,13 +217,4 @@ def entropic_risk(
 
 def _entropic(space, g, v: np.ndarray) -> np.ndarray:
     """-log E[exp(-v) | G] for each row of v."""
-
-    def risk(b):
-        p = space.probs[b.idx]
-        neg = -b.take(v)
-        m = b.max(neg)
-        with np.errstate(over="ignore"):
-            shifted = neg - b.spread(m)
-        return -(m + np.log(b.dot(p, np.exp(shifted)) / b.sum(p)))
-
-    return _per_atom(g, risk)
+    return _per_atom(g, lambda b: _neg_log_mean_exp(b, space.probs[b.idx], b.take(v)))

@@ -272,7 +272,7 @@ _SPLITS = (np.arange(1, PROBES + 1) / (PROBES + 1))[:, None]
 _NEIGHBOURS = np.arange(3)[:, None]
 
 
-def golden_section_max(f: Callable, lo, hi, *, xtol) -> MaxResult:
+def golden_section_max(f: Callable, lo, hi, f_lo=None, f_hi=None, *, xtol) -> MaxResult:
     """Derivative-free maximization of a unimodal function on [lo, hi].
 
     A section search of ``PROBES`` points per step (see the comment above),
@@ -281,7 +281,9 @@ def golden_section_max(f: Callable, lo, hi, *, xtol) -> MaxResult:
     Brackets are given as for :func:`bisect_nondecreasing`, and ``xtol``
     may be one tolerance per bracket.  ``f`` is called with rows of points,
     one column per bracket, and returns the values in the same shape: the
-    two ends first, then the ``PROBES`` probes of each step; scalar
+    two ends first, unless their values ``f_lo`` and ``f_hi`` are given (as
+    :func:`expand_bracket_max` returns them after the ends),
+    then the ``PROBES`` probes of each step; scalar
     brackets call it with floats, one per point.  A bracket stops once it
     is narrower than ``xtol``, or once a step no longer narrows it (float
     resolution), which leaves it not converged.  An infinite end, where
@@ -290,6 +292,8 @@ def golden_section_max(f: Callable, lo, hi, *, xtol) -> MaxResult:
     infinite width, and ``f`` is evaluated only at its finite end.
     """
     scalar, lo, hi, value = _brackets(f, lo, hi)
+    if (f_lo is None) != (f_hi is None):
+        raise TypeError("give the values at both bracket ends, or at neither")
     grew = np.isinf(lo) | np.isinf(hi)
     # a grown bracket collapses onto its finite end, so it takes no step
     ends = np.stack((np.where(np.isinf(lo), hi, lo), np.where(np.isinf(hi), lo, hi)))
@@ -297,7 +301,11 @@ def golden_section_max(f: Callable, lo, hi, *, xtol) -> MaxResult:
     # their values: the probes between the two ends, each end twice, so that
     # the grid neighbours of an end are the end itself and the next probe
     grid = np.empty((2, PROBES + 4, ends.shape[1]))
-    fends = value(ends)
+    if f_lo is None:
+        fends = value(ends)
+    else:
+        f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (f_lo, f_hi))
+        fends = np.stack((np.where(np.isinf(lo), f_hi, f_lo), np.where(np.isinf(hi), f_lo, f_hi)))
     grid[0, :2], grid[1, :2] = ends[0], fends[0]
     grid[0, -2:], grid[1, -2:] = ends[1], fends[1]
     best = np.where(grid[1, -1] > grid[1, 0], grid[:, -1], grid[:, 0])
@@ -354,8 +362,12 @@ def expand_bracket_max(
     slack does not trigger expansion, so a constant function keeps its
     initial bracket instead of chasing rounding noise to the ceiling.
 
-    Brackets are given as for :func:`bisect_nondecreasing`; array ends
-    give the arrays ``(lo, hi)``.  The first call evaluates the two ends and
+    Brackets are given as for :func:`bisect_nondecreasing`.  Returns
+    ``(lo, hi, f_lo, f_hi)``, the grown brackets and the values of ``f`` at
+    their ends (arrays for array ends), which :func:`golden_section_max`
+    takes in that order, so it need not evaluate the ends again; an
+    infinite end's value is that of the last finite point on its side.
+    The first call evaluates the two ends and
     the midpoint of every bracket, as three rows; each later call one point
     per bracket.
     """
@@ -395,5 +407,11 @@ def expand_bracket_max(
         way[~grow] = 0.0
         if grow.any():
             np.copyto(ffar, value(np.where(grow, far, mid)), where=grow)
-    lo, hi = np.minimum(near, far), np.maximum(near, far)
-    return (lo[0].item(), hi[0].item()) if scalar else (lo, hi)
+    right = near < far
+    out = (
+        np.where(right, near, far),
+        np.where(right, far, near),
+        np.where(right, fnear, ffar),
+        np.where(right, ffar, fnear),
+    )
+    return tuple(v[0].item() for v in out) if scalar else out

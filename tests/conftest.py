@@ -4,6 +4,8 @@ Everything is driven by explicitly seeded numpy generators so every test is
 reproducible run to run; tests that count random instances rely on that.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ from condrisk import (
 )
 
 BUILTIN_NAMES = ("kl", "chi2", "power:2", "power:3")
+
+
+def searched_generator(name):
+    """The built-in generator ``name`` without a closed-form multiplier, so the solvers search it."""
+    return dataclasses.replace(builtin_generator(name), mean_one_root=None)
 
 
 def random_instance(rng, max_states=12, max_atoms=4, lo=-5.0, hi=5.0, min_states=2):

@@ -45,6 +45,8 @@ from condrisk import scalar_opt
 from condrisk.probspace import BLOCK_STATES
 from condrisk.scalar_opt import bisect_nondecreasing
 
+from conftest import searched_generator
+
 # tolerances fixed before the comparisons were first run: the batched sums
 # differ from per-atom dots only by rounding
 REL = 1e-12
@@ -105,7 +107,7 @@ def test_instances_cover_every_block_shape():
     assert all(b.starts.size == 1 or b.idx.size <= BLOCK_STATES for b in blocks)
     assert any(len(a) == 1 for a in g.atoms)
     # atoms of one block stop after different numbers of steps
-    iterations = oce_primal(space, g, builtin_generator("kl"), x).iterations
+    iterations = oce_primal(space, g, searched_generator("kl"), x).iterations
     assert len(set(iterations[: blocks[0].starts.size])) > 5
 
 
@@ -139,7 +141,7 @@ def reference_search(space, g, gen, x, tol):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", SEARCH_GENS)
 def test_batched_search_matches_scalar_search(seed, name):
-    gen = builtin_generator(name)
+    gen = searched_generator(name)
     for space, g, x in instances(seed):
         for tol in (1e-10, 1e-6):
             a, iters, primal_ref, dual_ref = reference_search(space, g, gen, x, tol)

@@ -24,7 +24,7 @@ from condrisk import (
     oce_primal,
 )
 from condrisk.probspace import BLOCK_STATES
-from conftest import BUILTIN_NAMES, random_density, random_instance
+from conftest import BUILTIN_NAMES, random_density, random_instance, searched_generator
 from oracles import dual_bruteforce
 
 
@@ -225,7 +225,7 @@ class TestStrongDuality:
         # conjugate derivative exactly as often as the dual solver alone
         rng = np.random.default_rng(60)
         for name in BUILTIN_NAMES:
-            gen = builtin_generator(name)
+            gen = searched_generator(name)
             calls = [0]
 
             def counted(m, inner=gen.phi_star_prime):
@@ -301,20 +301,21 @@ class TestLargePayoffScale:
 
     @pytest.mark.parametrize("top", [800.0, 1e6])
     def test_kl_beyond_exp_overflow_matches_entropic(self, top):
-        # exp overflows in the slope once the payoff range passes about 709;
-        # the overflowed slope counts as above the root
+        # exp overflows in the searched slope once the payoff range passes
+        # about 709; the overflowed slope counts as above the root, and the
+        # closed-form multiplier never forms that slope
         space = uniform_space(2)
         g = Partition.trivial(2)
         x = RandomVariable([0.0, top])
-        kl = builtin_generator("kl")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            primal = oce_primal(space, g, kl, x)
-            dual = oce_dual(space, g, kl, x)
         closed = entropic_risk(space, g, x).values[0]
         assert abs(closed - math.log(2.0)) <= 1e-12
-        assert abs(primal.value.values[0] - closed) <= 1e-9
-        assert abs(dual.value.values[0] - closed) <= 1e-9
+        for kl in (searched_generator("kl"), builtin_generator("kl")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                primal = oce_primal(space, g, kl, x)
+                dual = oce_dual(space, g, kl, x)
+            assert abs(primal.value.values[0] - closed) <= 1e-9
+            assert abs(dual.value.values[0] - closed) <= 1e-9
 
     def test_kl_oce_command_beyond_exp_overflow(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"

@@ -22,7 +22,7 @@ from condrisk import (
     oce_dual,
     oce_primal,
 )
-from conftest import BUILTIN_NAMES, random_instance
+from conftest import BUILTIN_NAMES, random_instance, searched_generator
 
 
 def uniform_space(n):
@@ -88,7 +88,7 @@ class TestSolverContract:
     def test_residuals_bound_the_bracket(self):
         rng = np.random.default_rng(33)
         space, g, x = random_instance(rng)
-        sol = oce_primal(space, g, builtin_generator("kl"), x, tol=1e-6)
+        sol = oce_primal(space, g, searched_generator("kl"), x, tol=1e-6)
         assert np.all(sol.residuals <= 1e-6)
         assert all(it <= 200 for it in sol.iterations)
 

@@ -130,42 +130,42 @@ class TestGoldenSection:
 
 class TestExpandBracket:
     def test_interior_peak_keeps_initial_bracket(self):
-        lo, hi = expand_bracket_max(lambda x: -(x**2), -1.0, 1.0, ceiling=1e6)
+        lo, hi, _, _ = expand_bracket_max(lambda x: -(x**2), -1.0, 1.0, ceiling=1e6)
         assert (lo, hi) == (-1.0, 1.0)
 
     def test_expands_right_to_cover_peak(self):
-        lo, hi = expand_bracket_max(lambda x: -abs(x - 40.0), 0.0, 1.0, ceiling=1e6)
+        lo, hi, _, _ = expand_bracket_max(lambda x: -abs(x - 40.0), 0.0, 1.0, ceiling=1e6)
         assert hi >= 40.0
 
     def test_expands_left_to_cover_peak(self):
-        lo, hi = expand_bracket_max(lambda x: -abs(x + 40.0), 0.0, 1.0, ceiling=1e6)
+        lo, hi, _, _ = expand_bracket_max(lambda x: -abs(x + 40.0), 0.0, 1.0, ceiling=1e6)
         assert lo <= -40.0
 
     def test_unbounded_right(self):
         # growth past the ceiling comes back as an infinite end, which the
         # golden search reads as a supremum of +inf there
-        lo, hi = expand_bracket_max(lambda x: x, 0.0, 1.0, ceiling=1e4)
+        lo, hi, _, _ = expand_bracket_max(lambda x: x, 0.0, 1.0, ceiling=1e4)
         assert hi == math.inf and lo < 1e4
         res = golden_section_max(lambda x: x, lo, hi, xtol=1e-10)
         assert (res.x, res.value, res.converged) == (math.inf, math.inf, False)
 
     def test_unbounded_left(self):
-        lo, hi = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4)
+        lo, hi, _, _ = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4)
         assert lo == -math.inf and hi > -1e4
         res = golden_section_max(lambda x: -x, lo, hi, xtol=1e-10)
         assert (res.x, res.value, res.converged) == (-math.inf, math.inf, False)
 
     def test_domain_wall_clamps_left_expansion(self):
-        lo, hi = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4, min_lo=0.0)
+        lo, hi, _, _ = expand_bracket_max(lambda x: -x, 0.0, 1.0, ceiling=1e4, min_lo=0.0)
         assert lo == 0.0
 
     def test_flat_objective_is_left_alone(self):
-        lo, hi = expand_bracket_max(lambda x: 3.0, 0.0, 1.0, ceiling=1e4)
+        lo, hi, _, _ = expand_bracket_max(lambda x: 3.0, 0.0, 1.0, ceiling=1e4)
         assert (lo, hi) == (0.0, 1.0)
 
     def test_golden_after_expansion_finds_far_peak(self):
         f = lambda x: -((x - 123.5) ** 2)
-        lo, hi = expand_bracket_max(f, 0.0, 1.0, ceiling=1e6)
+        lo, hi, _, _ = expand_bracket_max(f, 0.0, 1.0, ceiling=1e6)
         res = golden_section_max(f, lo, hi, xtol=1e-8)
         assert abs(res.x - 123.5) <= 1e-6
 
@@ -219,11 +219,51 @@ def test_batched_expansion_follows_its_scalar_steps(min_lo):
     peaks = golden_section_max(f, *many, xtol=1e-9)
     for i, (g, a, b) in enumerate(cases):
         one = expand_bracket_max(g, a, b, ceiling=1e4, min_lo=min_lo)
-        assert (many[0][i], many[1][i]) == one
+        assert tuple(v[i] for v in many) == one
         assert tuple(v[i] for v in fields(peaks)) == fields(golden_section_max(g, *one, xtol=1e-9))
     assert many[1][4] == math.inf
     assert many[0][5] == (-math.inf if min_lo is None else 0.0)
     assert many[0][2] <= -40.0 if min_lo is None else many[0][2] == 0.0
+
+
+@pytest.mark.parametrize("min_lo", [None, 0.0])
+def test_end_values_from_the_expansion_save_one_call(min_lo):
+    # the section search given the expansion's end values takes the same
+    # steps, field for field, with one call fewer
+    cases = [
+        (lambda x: -((x - 0.7) ** 2), -1.0, 2.0),
+        (lambda x: -abs(x - 40.0), 0.0, 1.0),
+        (lambda x: -abs(x + 40.0), 0.5, 1.0),
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: -x, 0.5, 1.0),
+    ]
+    objectives, lo, hi = zip(*cases)
+    f = batched(objectives)
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return f(t)
+
+    a, b, f_lo, f_hi = expand_bracket_max(f, np.array(lo), np.array(hi), ceiling=1e4, min_lo=min_lo)
+    finite = np.isfinite(a) & np.isfinite(b)
+    assert not finite.all()
+    np.testing.assert_array_equal(f_lo[finite], f(a)[finite])
+    np.testing.assert_array_equal(f_hi[finite], f(b)[finite])
+    plain = golden_section_max(counted, a, b, xtol=1e-9)
+    plain_calls, calls[:] = len(calls), []
+    given = golden_section_max(counted, a, b, f_lo, f_hi, xtol=1e-9)
+    assert len(calls) == plain_calls - 1
+    for one, two in zip(fields(plain), fields(given)):
+        np.testing.assert_array_equal(one, two)
+    for g, x0, x1 in cases:  # scalar brackets give floats
+        bracket = expand_bracket_max(g, x0, x1, ceiling=1e4, min_lo=min_lo)
+        assert all(isinstance(v, float) for v in bracket)
+        assert fields(golden_section_max(g, *bracket, xtol=1e-9)) == fields(
+            golden_section_max(g, *bracket[:2], xtol=1e-9)
+        )
+    with pytest.raises(TypeError, match="both bracket ends"):
+        golden_section_max(f, a, b, f_lo, xtol=1e-9)
 
 
 def test_steps_within_the_section_bound():

@@ -17,10 +17,11 @@ from condrisk import (
     FiniteProbabilitySpace,
     Partition,
     RandomVariable,
-    builtin_generator,
     oce_primal,
 )
 from condrisk.scalar_opt import ITP_N0, bisect_nondecreasing
+
+from conftest import searched_generator
 
 KINDS = ("linear", "convex", "concave", "kinked", "step", "flat_then_linear")
 
@@ -88,7 +89,7 @@ def random_atoms(rng, n_atoms):
 def test_kl_slopes_take_a_handful_of_steps():
     # bisection takes ceil(log2(span / 1e-10)), 24-44 steps, on these atoms
     space, g, x = random_atoms(np.random.default_rng(11), 300)
-    steps = np.array(oce_primal(space, g, builtin_generator("kl"), x).iterations)
+    steps = np.array(oce_primal(space, g, searched_generator("kl"), x).iterations)
     assert np.median(steps) <= 12
 
 
