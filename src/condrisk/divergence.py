@@ -437,10 +437,18 @@ def cond_divergence(
     gen: DivergenceGenerator,
     nu: EquivalentConditionalMeasure,
 ) -> ConditionalValue:
-    """Conditional phi-divergence of nu from the base measure, per atom."""
+    """Conditional phi-divergence of nu from the base measure, per atom.
+
+    phi is evaluated block by block, so its temporaries stay within a block.
+    """
     check_measure(space, g, nu)
-    phi_y = np.asarray(gen.phi(nu.weights / space.probs), dtype=float)
-    return ConditionalValue(_cond_mean(g, space.probs, phi_y))
+
+    def mean(b):
+        p = space.probs[b.idx]
+        phi_y = np.asarray(gen.phi(b.take(nu.weights) / p), dtype=float)
+        return b.dot(p, phi_y) / b.sum(p)
+
+    return ConditionalValue(_per_atom(g, mean))
 
 
 def cond_expectation_under(

@@ -73,6 +73,26 @@ def _as_float_vector(values, what: str, plus_inf: bool = False) -> np.ndarray:
     return arr
 
 
+def _distinct(names: tuple) -> bool:
+    """Whether no two names are equal.
+
+    Up to ``BLOCK_STATES`` names a set decides, the faster check there.
+    Beyond, the names' hashes are sorted and only names whose hashes
+    collide are compared: a set of 10^6 names takes a 32 MiB table, which
+    glibc maps and unmaps per space, and releasing its 16 MiB predecessor
+    raises glibc's trim threshold for the rest of the process, so the peak
+    memory of building a space would depend on whether the heap below it
+    happens to be trimmed.  The hashes take 8 MB.
+    """
+    if len(names) <= BLOCK_STATES:
+        return len(set(names)) == len(names)
+    h = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))
+    h.sort()
+    clash = set(h[1:][h[1:] == h[:-1]].tolist())
+    suspects = [n for n in names if hash(n) in clash] if clash else []
+    return len(set(suspects)) == len(suspects)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteProbabilitySpace:
     """Finite state set with strictly positive probabilities.
@@ -87,7 +107,7 @@ class FiniteProbabilitySpace:
 
     def __init__(self, state_names: Sequence[str], probs):
         names = tuple(str(n) for n in state_names)
-        if len(set(names)) != len(names):
+        if not _distinct(names):
             raise ValueError("state names must be distinct")
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size != len(names):

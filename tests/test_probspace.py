@@ -19,6 +19,8 @@ from condrisk import (
     embed,
     restrict_mask,
 )
+from condrisk import probspace
+from condrisk.probspace import BLOCK_STATES
 from conftest import random_instance
 
 
@@ -59,6 +61,26 @@ class TestFiniteProbabilitySpace:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="distinct"):
             FiniteProbabilitySpace(["a", "a"], [0.5, 0.5])
+
+    @pytest.mark.parametrize("where", [0, 1, BLOCK_STATES])
+    def test_rejects_duplicate_names_beyond_a_block(self, where):
+        # past BLOCK_STATES names the check sorts hashes instead of building a set
+        n = BLOCK_STATES + 1
+        assert uniform_space(n).num_states == n
+        names = [f"s{i}" for i in range(n)]
+        names[where] = names[(where + 7) % n]
+        with pytest.raises(ValueError, match="distinct"):
+            FiniteProbabilitySpace(names, np.full(n, 1.0 / n))
+
+    def test_colliding_hashes_of_distinct_names_are_compared(self, monkeypatch):
+        # every name hashes to one of three values, so most pairs collide
+        n = BLOCK_STATES + 1
+        names = [f"s{i}" for i in range(n)]
+        monkeypatch.setattr(probspace, "hash", lambda s: int(s[1:]) % 3, raising=False)
+        assert FiniteProbabilitySpace(names, np.full(n, 1.0 / n)).num_states == n
+        names[5] = names[9]
+        with pytest.raises(ValueError, match="distinct"):
+            FiniteProbabilitySpace(names, np.full(n, 1.0 / n))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
