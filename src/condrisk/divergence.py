@@ -225,7 +225,7 @@ def _conjugate_search(phi, m):
     where h still grows at ``T_CAP``.
     """
     shape = np.shape(m)
-    m = np.asarray(m, dtype=float).reshape(-1) if shape else float(m)
+    m = np.asarray(m, dtype=float).reshape(-1)
 
     def h(t):
         return m * t - np.asarray(phi(t), dtype=float)

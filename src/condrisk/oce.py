@@ -62,7 +62,7 @@ class OceSolution:
     is also the KKT multiplier of the dual program.  ``value[A]`` is what the
     solve evaluates there: the certainty equivalent for :func:`oce_primal`,
     the penalized expectation for :func:`condrisk.dual.oce_dual`, and
-|primal - dual| for :func:`condrisk.dual.duality_gap`.
+    |primal - dual| for :func:`condrisk.dual.duality_gap`.
     ``residuals[A]`` is the final bracket width of the search, which runs in
     coordinates centred at max_A x: a bound on how far ``multiplier[A]`` can
     sit from the true maximizer, up to the rounding of moving it back.  A
@@ -95,8 +95,8 @@ def _solve(space, g, gen, x, tol, evaluate, density=None) -> OceSolution:
     scales with |t| instead of |max_A x|: a root just below a large max_A x
     can fall between two floats (power:50 on x = [0, 1e6] did).  The atoms
     of a block are searched together, with one phi_star' call over the
-    block's states per step; each atom takes the steps its own scalar search
-    would.  A generator's ``mean_one_root`` replaces the search by one call
+    block's states per step; each atom takes the steps a search of that atom
+    alone would.  A generator's ``mean_one_root`` replaces the search by one call
     per block on the same centred payoffs, its root clipped to the bracket.
     ``evaluate(gen, b, w, xa, c, t)`` gets the block, its conditional
     weights w and payoffs (block-ordered), c and t, and gives the block's

@@ -16,17 +16,14 @@ Three searches cover everything this package optimizes:
   :func:`expand_bracket_max` growing the interval first when no a-priori
   bracket is known.
 
-Each is one step loop over an array of independent brackets, and a scalar
-bracket is an array of one: given the same function values, every bracket
-takes exactly the steps its scalar call would (numpy may round them apart:
-``(t - 1.0) ** 2`` is ``pow`` on a 0-d array and ``square`` on arrays, which
-moves chi2's numeric conjugate at m = 2.1121... by 4.4e-16).  Each step
-calls the function once for all brackets, with one point per bracket, or
-``PROBES`` rows of points in the maximization, so independent problems such
-as the atoms of a partition share every call.  The searches stop on an
-interval-width tolerance and an iteration cap, and report what they
-achieved so callers can surface residuals instead of silently returning
-garbage.
+Each takes a 1-D array of independent brackets, such as one per atom of a
+partition, and runs one step loop over all of them: each step calls the
+function once with a float array, one point per bracket, or ``PROBES`` rows
+of points in the maximization, so independent problems share every call,
+and a bracket takes the same steps alone as among others.  The searches
+stop on an interval-width tolerance and an iteration cap, and report what
+they achieved, field by field per bracket, so callers can surface residuals
+instead of silently returning garbage.
 """
 
 from __future__ import annotations
@@ -40,8 +37,7 @@ import numpy as np
 __all__ = [
     "SolverError",
     "UnboundedObjective",
-    "RootResult",
-    "MaxResult",
+    "SearchResult",
     "bisect_nondecreasing",
     "golden_section_max",
     "expand_bracket_max",
@@ -51,7 +47,7 @@ DEFAULT_MAX_ITER = 200
 
 
 class SolverError(RuntimeError):
-    """A scalar solver could not honor its contract."""
+    """A bracketed search could not honor its contract."""
 
 
 class UnboundedObjective(SolverError):
@@ -59,54 +55,36 @@ class UnboundedObjective(SolverError):
 
 
 @dataclass(frozen=True)
-class RootResult:
-    x: float
-    f_value: float
-    bracket_width: float
-    iterations: int
-    converged: bool
+class SearchResult:
+    """Per-bracket arrays: the point found, ``f`` there, the final width, the steps taken."""
 
-
-@dataclass(frozen=True)
-class MaxResult:
-    x: float
-    value: float
-    bracket_width: float
-    iterations: int
-    converged: bool
+    x: np.ndarray
+    value: np.ndarray
+    bracket_width: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
 
 def _brackets(f: Callable, lo, hi, strict: bool = False):
     """Brackets as equally long float vectors, and ``f`` as a map over arrays of points.
 
-    Returns ``(scalar, lo, hi, value)``.  ``value`` maps points whose last
-    axis runs over the brackets to the values there, in the same shape;
-    ``scalar`` is True for scalar ends, and then ``value`` calls ``f`` with
-    one float per point, as a scalar caller expects.
-    Every bracket must have lo <= hi, or lo < hi when ``strict``.
+    Returns ``(lo, hi, value)``, the ends copied; ``value`` maps points
+    whose last axis runs over the brackets to the values there, in the same
+    shape.  Every bracket must have lo <= hi, or lo < hi when ``strict``.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(f"brackets must be scalars or equally long vectors, got {lo.shape} and {hi.shape}")
+        raise ValueError(f"brackets must be equally long 1-D arrays, got {lo.shape} and {hi.shape}")
     ok = lo < hi if strict else lo <= hi
     if not ok.all():
         i = int(np.argmax(~ok))
         raise ValueError(f"invalid bracket [{lo[i]}, {hi[i]}]")
 
     def value(t):
-        if scalar:
-            out = [np.asarray(f(float(v)), dtype=float).item() for v in t.flat]
-            return np.array(out).reshape(t.shape)
         return np.asarray(f(t), dtype=float).reshape(t.shape)
 
-    return scalar, lo, hi, value
-
-
-def _result(cls, scalar: bool, *fields):
-    """``cls`` of per-bracket arrays, or of their one entry for a scalar call."""
-    return cls(*(v[0].item() for v in fields)) if scalar else cls(*fields)
+    return lo, hi, value
 
 
 def bisect_nondecreasing(
@@ -116,8 +94,8 @@ def bisect_nondecreasing(
     *,
     xtol: float,
     ftol: Optional[float] = None,
-) -> RootResult:
-    """Root of a nondecreasing function with f(lo) <= 0 <= f(hi).
+) -> SearchResult:
+    """Root of a nondecreasing function with f(lo) <= 0 <= f(hi), per bracket.
 
     The bracket shrinks by ITP steps (see the comment above the step loop)
     until it is narrower than ``xtol`` and, when ``ftol`` is given, the
@@ -131,14 +109,12 @@ def bisect_nondecreasing(
     monotonicity this method relies on.  A value of +inf counts as above the
     root (a sum of nonnegative terms that overflowed); NaN and -inf raise.
 
-    ``lo`` and ``hi`` may also be equally long arrays of brackets, one per
-    independent root; ``f`` then maps an array of points, one per bracket,
-    to the array of values there.  Each bracket follows the steps a scalar
-    call would take: it is frozen once it stops, the later points passed for
-    it are ignored, and the fields of the result are arrays.  Scalar
-    brackets give a scalar result and call ``f`` with floats.
+    ``lo`` and ``hi`` are equally long 1-D arrays of brackets, one per
+    independent root, and ``f`` maps an array of points, one per bracket,
+    to the array of values there.  A bracket is frozen once it stops, and
+    the later points passed for it are ignored.  ``value`` is f at ``x``.
     """
-    scalar, lo, hi, value = _brackets(f, lo, hi)
+    lo, hi, value = _brackets(f, lo, hi)
     slack = ftol if ftol is not None else 1e-9
     flo = value(lo)
     live = lo < hi  # a degenerate bracket is its own root
@@ -176,7 +152,7 @@ def bisect_nondecreasing(
     if ftol is not None:
         converged &= np.abs(fx) <= ftol
     converged |= resolved
-    return _result(RootResult, scalar, x, fx, width, iterations, converged)
+    return SearchResult(x, fx, width, iterations, converged)
 
 
 # The step loop applies one rule to each bracket and updates lo, hi, flo and
@@ -272,28 +248,24 @@ _SPLITS = (np.arange(1, PROBES + 1) / (PROBES + 1))[:, None]
 _NEIGHBOURS = np.arange(3)[:, None]
 
 
-def golden_section_max(f: Callable, lo, hi, f_lo=None, f_hi=None, *, xtol) -> MaxResult:
-    """Derivative-free maximization of a unimodal function on [lo, hi].
+def golden_section_max(f: Callable, lo, hi, f_lo, f_hi, *, xtol) -> SearchResult:
+    """Derivative-free maximization of a unimodal function on [lo, hi], per bracket.
 
     A section search of ``PROBES`` points per step (see the comment above),
     of which golden section is the one-probe case; it reports the best
     point seen, including the interval ends, so boundary maxima are exact.
-    Brackets are given as for :func:`bisect_nondecreasing`, and ``xtol``
-    may be one tolerance per bracket.  ``f`` is called with rows of points,
-    one column per bracket, and returns the values in the same shape: the
-    two ends first, unless their values ``f_lo`` and ``f_hi`` are given (as
-    :func:`expand_bracket_max` returns them after the ends),
-    then the ``PROBES`` probes of each step; scalar
-    brackets call it with floats, one per point.  A bracket stops once it
-    is narrower than ``xtol``, or once a step no longer narrows it (float
-    resolution), which leaves it not converged.  An infinite end, where
+    Brackets are given as for :func:`bisect_nondecreasing`, with ``f`` at
+    their ends, ``f_lo`` and ``f_hi``, as :func:`expand_bracket_max` returns
+    them; ``xtol`` may be one tolerance per bracket.  ``f`` is called with
+    ``PROBES`` rows of points per step, one column per bracket, and returns
+    the values in the same shape.  A bracket stops once it is narrower than
+    ``xtol``, or once a step no longer narrows it (float resolution), which
+    leaves it not converged.  An infinite end, where
     :func:`expand_bracket_max` saw the objective still growing, is the
     maximum: such a bracket reports that end with value +inf and an
-    infinite width, and ``f`` is evaluated only at its finite end.
+    infinite width, and takes no step.
     """
-    scalar, lo, hi, value = _brackets(f, lo, hi)
-    if (f_lo is None) != (f_hi is None):
-        raise TypeError("give the values at both bracket ends, or at neither")
+    lo, hi, value = _brackets(f, lo, hi)
     grew = np.isinf(lo) | np.isinf(hi)
     # a grown bracket collapses onto its finite end, so it takes no step
     ends = np.stack((np.where(np.isinf(lo), hi, lo), np.where(np.isinf(hi), lo, hi)))
@@ -301,13 +273,8 @@ def golden_section_max(f: Callable, lo, hi, f_lo=None, f_hi=None, *, xtol) -> Ma
     # their values: the probes between the two ends, each end twice, so that
     # the grid neighbours of an end are the end itself and the next probe
     grid = np.empty((2, PROBES + 4, ends.shape[1]))
-    if f_lo is None:
-        fends = value(ends)
-    else:
-        f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (f_lo, f_hi))
-        fends = np.stack((np.where(np.isinf(lo), f_hi, f_lo), np.where(np.isinf(hi), f_lo, f_hi)))
-    grid[0, :2], grid[1, :2] = ends[0], fends[0]
-    grid[0, -2:], grid[1, -2:] = ends[1], fends[1]
+    grid[0, :2], grid[1, :2] = ends[0], np.where(np.isinf(lo), f_hi, f_lo)
+    grid[0, -2:], grid[1, -2:] = ends[1], np.where(np.isinf(hi), f_lo, f_hi)
     best = np.where(grid[1, -1] > grid[1, 0], grid[:, -1], grid[:, 0])
     a, b, probes = grid[0, 1], grid[0, -2], grid[0, 2:-2]
     w = b - a
@@ -333,7 +300,7 @@ def golden_section_max(f: Callable, lo, hi, f_lo=None, f_hi=None, *, xtol) -> Ma
     best_x, best_v = best
     best_x[grew] = np.where(np.isinf(hi), hi, lo)[grew]
     best_v[grew] = w[grew] = np.inf
-    return _result(MaxResult, scalar, best_x, best_v, w, iterations, (w <= xtol) & ~grew)
+    return SearchResult(best_x, best_v, w, iterations, (w <= xtol) & ~grew)
 
 
 def _improving(candidate: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -364,14 +331,12 @@ def expand_bracket_max(
 
     Brackets are given as for :func:`bisect_nondecreasing`.  Returns
     ``(lo, hi, f_lo, f_hi)``, the grown brackets and the values of ``f`` at
-    their ends (arrays for array ends), which :func:`golden_section_max`
-    takes in that order, so it need not evaluate the ends again; an
+    their ends, which :func:`golden_section_max` takes in that order; an
     infinite end's value is that of the last finite point on its side.
-    The first call evaluates the two ends and
-    the midpoint of every bracket, as three rows; each later call one point
-    per bracket.
+    The first call evaluates the two ends and the midpoint of every
+    bracket, as three rows; each later call one point per bracket.
     """
-    scalar, lo, hi, value = _brackets(f, lo, hi, strict=True)
+    lo, hi, value = _brackets(f, lo, hi, strict=True)
     span = hi - lo
     mid = 0.5 * (lo + hi)
     # near, mid and far lie in the direction a bracket grows: way is +1
@@ -408,10 +373,9 @@ def expand_bracket_max(
         if grow.any():
             np.copyto(ffar, value(np.where(grow, far, mid)), where=grow)
     right = near < far
-    out = (
+    return (
         np.where(right, near, far),
         np.where(right, far, near),
         np.where(right, fnear, ffar),
         np.where(right, ffar, fnear),
     )
-    return tuple(v[0].item() for v in out) if scalar else out

@@ -16,6 +16,7 @@ lattice identities the conditional constructions lean on.
 import time
 
 import numpy as np
+import pytest
 
 from condrisk import (
     ConditionalDensity,
@@ -41,6 +42,7 @@ from condrisk import (
     oce_dual,
     oce_primal,
 )
+from condrisk.oce import DEFAULT_TOL
 
 from conftest import (
     BUILTIN_NAMES,
@@ -349,3 +351,134 @@ def test_criterion_10_lattice_identities_hold_exactly():
         "(translation, product splitting, domination, inf-sup domination, "
         f"minimax, scalar factoring all within {atol:.0e} over 1000 families)"
     )
+
+
+def _nested_partitions(rng, n, k_fine, k_coarse):
+    """A fine partition of k_fine atoms of scattered states, and a coarse one
+    of k_coarse atoms, each a union of fine atoms."""
+
+    def cuts(m, k):
+        return np.sort(rng.choice(np.arange(1, m), size=k - 1, replace=False))
+
+    fine = np.split(rng.permutation(n), cuts(n, k_fine))
+    groups = np.split(rng.permutation(k_fine), cuts(k_fine, k_coarse))
+    coarse = [np.concatenate([fine[i] for i in group]) for group in groups]
+    return Partition(fine), Partition(coarse)
+
+
+def test_criterion_12_entropic_and_kl_towers():
+    # The entropic risk is time consistent: computed at a fine partition G2,
+    # then at a coarse G1 within it, it equals its value computed at G1
+    # directly.  Rounding separates the two, and for the searched KL the
+    # search, which moves a value by O(tol**2) only, so the bound is a few
+    # ulps of the value; the largest gap measured is 1.8e-15, 4e-16 relative.
+    rng = np.random.default_rng(112)
+    rel = 1e-14
+
+    def oce(gen):
+        return lambda space, g, x: oce_primal(space, g, gen, x).value
+
+    maps = {
+        "kl": oce(builtin_generator("kl")),
+        "kl searched": oce(searched_generator("kl")),
+        "entropic": entropic_risk,
+        "chi2": oce(builtin_generator("chi2")),
+    }
+    start = time.perf_counter()
+    worst = 0.0
+    sizes = [(10, 5, 2), (100, 30, 4), (1000, 200, 20), (10_000, 1000, 100)] * 3
+    for n, k_fine, k_coarse in sizes + [(100_000, 10_000, 1000)]:
+        space = FiniteProbabilitySpace([f"s{i}" for i in range(n)], rng.dirichlet(np.ones(n)))
+        g2, g1 = _nested_partitions(rng, n, k_fine, k_coarse)
+        x = RandomVariable(3.0 * rng.normal(size=n))
+        gaps = {}
+        for name, value in maps.items():
+            direct = value(space, g1, x).values
+            composed = value(space, g1, embed(g2, value(space, g2, x))).values
+            gaps[name] = np.abs(composed - direct) / (1.0 + np.abs(direct))
+        for name in ("kl", "kl searched", "entropic"):
+            assert np.all(gaps[name] <= rel), (n, name, float(gaps[name].max()))
+            worst = max(worst, float(gaps[name].max()))
+    elapsed = time.perf_counter() - start
+    # chi2 is not time consistent (only the entropic risk is, among
+    # law-invariant maps): its tower gap is expected, and it shows that the
+    # check tells a time-inconsistent map apart
+    chi2_gap = float(gaps["chi2"].max())
+    assert chi2_gap > 1e-3
+    _report(
+        "criterion 12 entropic and KL towers: PASS "
+        f"(worst |composed - direct| / (1 + |direct|) {worst:.3e} <= {rel:.0e} over "
+        f"{len(sizes) + 1} nested pairs up to 1e5 states, {elapsed:.2f}s; chi2, time "
+        f"inconsistent, misses its tower by {chi2_gap:.2f} at 1e5 states)"
+    )
+
+
+# Criterion 13 runs on single 10-state atoms of one instance: the first four
+# of 1000 atoms of 10 consecutive states, and atom 491, whose steep power
+# duality gap is the largest.  power:50 puts the multiplier of atoms 2, 3 and
+# 491 within one ulp of the kink of phi_star', where no float multiplier
+# gives a feasible density.
+GRADIENT_ATOMS = (0, 1, 2, 3, 491)
+GRADIENT_GENS = BUILTIN_NAMES + ("power:10", "power:50")
+KINKED = {("power:50", 2), ("power:50", 3), ("power:50", 491)}
+FD_STEP = 1e-6
+
+
+def _gradient_error(name, atom):
+    """max_s |central difference of the primal value in x_s - w_s y_s| on one
+    atom of item 1's instance, and the bound it must meet."""
+    rng = np.random.default_rng(1)
+    x = 3.0 * rng.normal(size=10_000)
+    p = rng.dirichlet(np.ones(10_000))
+    states = slice(10 * atom, 10 * atom + 10)
+    w = p[states] / p[states].sum()
+    space = FiniteProbabilitySpace([f"s{i}" for i in range(10)], w)
+    g = Partition([list(range(10))])
+    gen = builtin_generator(name)
+    x = x[states]
+    solved = oce_dual(space, g, gen, RandomVariable(x))
+    bumps = FD_STEP * np.eye(10)
+    up = [oce_primal(space, g, gen, RandomVariable(x + e)).value.values[0] for e in bumps]
+    down = [oce_primal(space, g, gen, RandomVariable(x - e)).value.values[0] for e in bumps]
+    fd = (np.array(up) - np.array(down)) / (2.0 * FD_STEP)
+    error = float(np.max(np.abs(fd - space.probs * solved.density.values)))
+    # Envelope theorem: d value / d x_s = w_s y_s.  The search leaves the
+    # density within DEFAULT_TOL of its value at the exact multiplier and
+    # moves the primal value by O(tol**2) only, since the value is stationary
+    # there.  Each primal value a - E[phi_star(a - x)] carries a rounding
+    # error of at most (10 + 2) ulps of |a| + E|phi_star(a - x)|, which the
+    # difference divides by FD_STEP.  The O(FD_STEP**2) truncation is left
+    # out: the healthy pairs read at most 4.9e-10, 0.05 of the bound.
+    a = solved.multiplier.values[0]
+    scale = abs(a) + float(w @ np.abs(gen.phi_star(a - x)))
+    bound = DEFAULT_TOL + 12 * np.finfo(float).eps * scale / FD_STEP
+    return error, bound
+
+
+def test_criterion_13_density_is_the_gradient():
+    worst, share = 0.0, 0.0
+    for name in GRADIENT_GENS:
+        for atom in GRADIENT_ATOMS:
+            if (name, atom) in KINKED:
+                continue
+            error, bound = _gradient_error(name, atom)
+            assert error <= bound, (name, atom, error, bound)
+            worst, share = max(worst, error), max(share, error / bound)
+    _report(
+        "criterion 13 density is the gradient: PASS "
+        f"(worst |central difference - w y| {worst:.3e}, at most {share:.2f} of its bound, over "
+        f"{len(GRADIENT_GENS) * len(GRADIENT_ATOMS) - len(KINKED)} generator-atom pairs)"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the multiplier of a steep power generator can lie within one ulp of the "
+    "kink of phi_star' at the top payoff, where no float multiplier gives a feasible "
+    "density (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("name, atom", sorted(KINKED))
+def test_criterion_13_density_is_the_gradient_at_a_kink(name, atom):
+    error, bound = _gradient_error(name, atom)
+    assert error <= bound, (name, atom, error, bound)

@@ -2,8 +2,8 @@
 
 The solvers bisect all atoms of a block at once and the conditional
 reductions run on segmented sums over the partition's blocks.  Each is
-compared here with the per-atom loop it replaced: scalar
-``bisect_nondecreasing`` on every atom's centred problem for the search, and
+compared here with the per-atom loop it replaced: ``bisect_nondecreasing``
+on every atom's centred problem alone for the search, and
 plain numpy on every atom's gathered states for the reductions.  The
 partitions include single-state atoms, several blocks of small atoms, and an
 atom larger than a block.
@@ -116,7 +116,7 @@ def test_instances_cover_every_block_shape():
 
 
 def reference_search(space, g, gen, x, tol):
-    """Scalar bisection on every atom's centred problem, atom by atom."""
+    """Bisection on every atom's centred problem, one bracket per call."""
     out = []
     for idx in g.index_arrays():
         w = space.probs[idx] / space.probs[idx].sum()
@@ -126,15 +126,16 @@ def reference_search(space, g, gen, x, tol):
 
         def slope_gap(t):
             with np.errstate(over="ignore"):
-                return float(w @ gen.phi_star_prime(t - xc)) - 1.0
+                return w @ gen.phi_star_prime(t - xc[:, None]) - 1.0
 
-        found = bisect_nondecreasing(slope_gap, float(xc.min()), 0.0, xtol=tol, ftol=tol)
-        a = c + found.x
+        found = bisect_nondecreasing(slope_gap, [xc.min()], [0.0], xtol=tol, ftol=tol)
+        t = found.x[0]
+        a = c + t
         primal = a - float(w @ gen.phi_star(a - xa))
-        y = gen.phi_star_prime(found.x - xc)
+        y = gen.phi_star_prime(t - xc)
         y = y / float(w @ y)
         dual = float(w @ (xa * y + gen.phi(y)))
-        out.append((a, found.iterations, primal, dual))
+        out.append((a, found.iterations[0], primal, dual))
     return [np.array(col) for col in zip(*out)]
 
 
@@ -169,12 +170,12 @@ def test_batched_brackets_follow_their_scalar_steps(monkeypatch):
         many = bisect_nondecreasing(lambda t: scale * (t - roots), lo, hi, xtol=1e-10, ftol=ftol)
         for i in range(roots.size):
             one = bisect_nondecreasing(
-                lambda t: scale[i] * (t - roots[i]), lo[i], hi[i], xtol=1e-10, ftol=ftol
+                lambda t: scale[i] * (t - roots[i]), lo[i : i + 1], hi[i : i + 1], xtol=1e-10, ftol=ftol
             )
-            assert (many.x[i], many.f_value[i], many.bracket_width[i]) == (
-                one.x, one.f_value, one.bracket_width
+            assert (many.x[i], many.value[i], many.bracket_width[i]) == (
+                one.x[0], one.value[0], one.bracket_width[0]
             )
-            assert (many.iterations[i], many.converged[i]) == (one.iterations, one.converged)
+            assert (many.iterations[i], many.converged[i]) == (one.iterations[0], one.converged[0])
 
 
 class TestInfiniteSlopes:
@@ -182,19 +183,19 @@ class TestInfiniteSlopes:
 
     def test_inf_at_upper_end_and_midpoints(self):
         res = bisect_nondecreasing(
-            lambda t: math.inf if t > 1.0 else t - 0.5, 0.0, 10.0, xtol=1e-12, ftol=1e-12
+            lambda t: np.where(t > 1.0, math.inf, t - 0.5), [0.0], [10.0], xtol=1e-12, ftol=1e-12
         )
-        assert abs(res.x - 0.5) <= 1e-12
-        assert res.converged
+        assert abs(res.x[0] - 0.5) <= 1e-12
+        assert res.converged[0]
 
     def test_inf_at_lower_end_is_not_bracketed(self):
         with pytest.raises(SolverError, match="not bracketed"):
-            bisect_nondecreasing(lambda t: math.inf, 0.0, 1.0, xtol=1e-9)
+            bisect_nondecreasing(lambda t: np.full_like(t, math.inf), [0.0], [1.0], xtol=1e-9)
 
     @pytest.mark.parametrize("bad", [-math.inf, math.nan])
     def test_minus_inf_and_nan_still_raise(self, bad):
         with pytest.raises(SolverError, match="non-finite"):
-            bisect_nondecreasing(lambda t: bad if t > 0.9 else t - 0.5, 0.0, 1.0, xtol=1e-9)
+            bisect_nondecreasing(lambda t: np.where(t > 0.9, bad, t - 0.5), [0.0], [1.0], xtol=1e-9)
         with pytest.raises(SolverError, match="non-finite"):
             bisect_nondecreasing(
                 lambda t: np.where(t == 0.5, bad, t - 0.7), np.zeros(3), np.ones(3), xtol=1e-9

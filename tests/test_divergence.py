@@ -125,6 +125,15 @@ class TestNumericConjugate:
                 closed = float(gen.phi_star(float(m)))
                 assert abs(direct - closed) <= 1e-8, (name, m, direct, closed)
 
+    def test_one_argument_is_an_array_of_one(self):
+        # one search path serves both: a scalar m gives the entry of an
+        # array call, bit for bit
+        grid = np.linspace(-10.0, 10.0, 1000)
+        for name in BUILTIN_NAMES:
+            gen = builtin_generator(name)
+            alone = np.array([numeric_conjugate(gen, m) for m in grid])
+            np.testing.assert_array_equal(alone, numeric_conjugate(gen, grid), err_msg=name)
+
     def test_linear_growth_is_flagged_unbounded(self):
         gen = DivergenceGenerator("linear", lambda t: np.asarray(t, dtype=float) - 1.0)
         with pytest.raises(UnboundedObjective):

@@ -1,6 +1,8 @@
 """The package namespace: every public name declared once, by its module;
-and the package runs on numpy alone."""
+the package runs on numpy alone; and the benchmark's tracer still finds the
+functions it wraps by name."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,8 +10,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import condrisk
-from condrisk import divergence, dual, niveloid, oce, probspace
+from condrisk import divergence, dual, niveloid, oce, probspace, scalar_opt
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
 
 def test_all_is_the_modules_lists_in_order():
@@ -61,3 +67,32 @@ def test_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_counts_every_layer_and_uninstalls():
+    """``benchmarks/tracing.py`` wraps condrisk's functions by name: a rename
+    would leave its counts at zero, which its own checks catch only at
+    full size."""
+    spec = importlib.util.spec_from_file_location("condrisk_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    primal, section = oce.oce_primal, scalar_opt.golden_section_max
+    rng = np.random.default_rng(0)
+    p = rng.uniform(0.5, 1.5, 12)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # looked up through the package, where the tracer put its wrappers
+        space = condrisk.FiniteProbabilitySpace([f"s{i}" for i in range(12)], p / p.sum())
+        g = condrisk.Partition([list(range(0, 5)), list(range(5, 12))])
+        x = condrisk.RandomVariable(rng.normal(size=12))
+        chi2 = condrisk.builtin_generator("chi2")
+        condrisk.oce_primal(space, g, chi2, x)
+        condrisk.niveloidify(space, g, condrisk.iphi_operator(space, g, chi2), x)
+        totals = tracer.take()
+    finally:
+        tracer.uninstall()
+    for metric in ("scalar_opt.search_calls", "divergence.slope_calls", "niveloid.op_evals"):
+        assert totals[metric] > 0, metric
+    assert condrisk.oce.oce_primal is primal and condrisk.oce_primal is primal
+    assert condrisk.scalar_opt.golden_section_max is section

@@ -52,11 +52,8 @@ def test_the_section_has_examples():
     assert len(examples()) >= 3
 
 
-def example_id(v):
-    return " ".join(v) if isinstance(v, list) else ""
-
-
-@pytest.mark.parametrize("argv, shown, cut", examples(), ids=example_id)
+# each test is named by its command line alone, so new output keeps the name
+@pytest.mark.parametrize("argv, shown, cut", [pytest.param(*e, id=" ".join(e[0])) for e in examples()])
 def test_readme_example_prints_what_it_shows(argv, shown, cut, tmp_path, monkeypatch, capsys):
     (tmp_path / "scenario.json").write_text(scenario_json())
     monkeypatch.chdir(tmp_path)

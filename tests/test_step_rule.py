@@ -3,7 +3,7 @@
 The rule keeps bisection's worst case plus one step (``ITP_N0``) on any
 nondecreasing function, takes a handful of steps on smooth slopes, falls
 back to midpoints next to an overflowed (+inf) value, and steps every
-bracket of an array call exactly as a scalar call would.
+bracket of an array call exactly as a call with that bracket alone would.
 """
 
 import math
@@ -27,23 +27,23 @@ KINDS = ("linear", "convex", "concave", "kinked", "step", "flat_then_linear")
 
 
 def monotone(kind, root, scale, ratio):
-    """A nondecreasing function whose sign changes at ``root``."""
+    """A nondecreasing function of arrays whose sign changes at ``root``."""
 
     def z(t):
-        return min(max(scale * (t - root), -700.0), 700.0)
+        return np.clip(scale * (t - root), -700.0, 700.0)
 
     if kind == "linear":
         return lambda t: scale * (t - root)
     if kind == "convex":
-        return lambda t: math.expm1(z(t))
+        return lambda t: np.expm1(z(t))
     if kind == "concave":
-        return lambda t: -math.expm1(-z(t))
+        return lambda t: -np.expm1(-z(t))
     if kind == "kinked":
-        return lambda t: scale * (t - root) * (ratio if t > root else 1.0)
+        return lambda t: scale * (t - root) * np.where(t > root, ratio, 1.0)
     if kind == "step":
-        return lambda t: -1.0 if t < root else 1.0
+        return lambda t: np.where(t < root, -1.0, 1.0)
     # exactly zero up to the root: every lower end after the first has f = 0
-    return lambda t: scale * max(t - root, 0.0) - (1.0 if t < root - 1.0 else 0.0)
+    return lambda t: scale * np.maximum(t - root, 0.0) - np.where(t < root - 1.0, 1.0, 0.0)
 
 
 def bisection_steps(lo, hi, xtol):
@@ -64,12 +64,12 @@ def test_steps_within_the_bisection_bound_plus_n0(kind, lo, width, at, scale, ra
     hi = lo + width
     root = lo + at * (hi - lo)
     f = monotone(kind, root, scale, ratio)
-    res = bisect_nondecreasing(f, lo, hi, xtol=xtol)
-    assert res.iterations <= max(bisection_steps(lo, hi, xtol), 0) + ITP_N0
-    assert res.converged
-    assert res.bracket_width <= xtol
+    res = bisect_nondecreasing(f, [lo], [hi], xtol=xtol)
+    assert res.iterations[0] <= max(bisection_steps(lo, hi, xtol), 0) + ITP_N0
+    assert res.converged[0]
+    assert res.bracket_width[0] <= xtol
     if kind in ("linear", "kinked", "step"):  # the sign of f is exact
-        assert abs(res.x - root) <= res.bracket_width
+        assert abs(res.x[0] - root) <= res.bracket_width[0]
 
 
 def random_atoms(rng, n_atoms):
@@ -100,24 +100,21 @@ class TestInfiniteUpperEnd:
     def kl_slopes(t):
         return np.where(t < 709.0, np.exp(np.minimum(t, 709.0)) - 2.0, np.inf)
 
-    def kl_slope(self, t):
-        return float(self.kl_slopes(np.array([t]))[0])
-
     def test_scalar_bracket_solves(self):
-        res = bisect_nondecreasing(self.kl_slope, 0.0, 1000.0, xtol=1e-10, ftol=1e-10)
-        assert res.converged
-        assert abs(res.x - math.log(2.0)) <= res.bracket_width <= 1e-10
-        assert res.iterations <= bisection_steps(0.0, 1000.0, 1e-10) + ITP_N0
+        res = bisect_nondecreasing(self.kl_slopes, [0.0], [1000.0], xtol=1e-10, ftol=1e-10)
+        assert res.converged[0]
+        assert abs(res.x[0] - math.log(2.0)) <= res.bracket_width[0] <= 1e-10
+        assert res.iterations[0] <= bisection_steps(0.0, 1000.0, 1e-10) + ITP_N0
 
     def test_array_brackets_match_scalar_calls(self):
         his = np.array([1000.0, 800.0, 2.0, 1e4])
         got = bisect_nondecreasing(self.kl_slopes, np.zeros(4), his, xtol=1e-10, ftol=1e-10)
         for i, hi in enumerate(his):
-            one = bisect_nondecreasing(self.kl_slope, 0.0, float(hi), xtol=1e-10, ftol=1e-10)
+            one = bisect_nondecreasing(self.kl_slopes, [0.0], [hi], xtol=1e-10, ftol=1e-10)
             assert (got.x[i], got.bracket_width[i], got.iterations[i]) == (
-                one.x, one.bracket_width, one.iterations
+                one.x[0], one.bracket_width[0], one.iterations[0]
             )
-            assert abs(one.x - math.log(2.0)) <= 1e-10
+            assert abs(one.x[0] - math.log(2.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("ftol", [1e-10, None])
@@ -137,10 +134,10 @@ def test_array_brackets_take_the_scalar_steps_on_curved_functions(ftol):
     many = bisect_nondecreasing(lambda t: curved(t, roots, scale), lo, hi, xtol=1e-10, ftol=ftol)
     for i in range(k):
         one = bisect_nondecreasing(
-            lambda t: float(curved(t, roots[i], scale[i])), lo[i], hi[i], xtol=1e-10, ftol=ftol
+            lambda t: curved(t, roots[i], scale[i]), lo[i : i + 1], hi[i : i + 1], xtol=1e-10, ftol=ftol
         )
-        assert (many.x[i], many.f_value[i], many.bracket_width[i], many.iterations[i]) == (
-            one.x, one.f_value, one.bracket_width, one.iterations
+        assert (many.x[i], many.value[i], many.bracket_width[i], many.iterations[i]) == (
+            one.x[0], one.value[0], one.bracket_width[0], one.iterations[0]
         )
     # and the rule is not bisection: these roots take far fewer steps
     assert np.median(many.iterations) < np.median(
