@@ -96,11 +96,11 @@ class DivergenceGenerator:
     ``phi_prime`` is the right derivative of phi on (0, inf) and may be None
     for generators defined only through phi.
 
-    ``mean_one_root``, when given, replaces the multiplier search by a
-    closed form: ``mean_one_root(b, w, v)`` takes a partition block and
-    block-ordered weights w and payoffs v, and returns per atom of the block
-    the t solving E_w[phi_star'(t - v) | A] = 1.  Only the built-in "kl"
-    sets it (t = -log E_w[exp(-v) | A]); every other generator is searched.
+    ``mean_one_root``, when given, replaces the multiplier search by an
+    exact root: ``mean_one_root(b, w, v)`` takes a partition block and
+    block-ordered weights w and payoffs v <= 0, and returns per atom the t
+    solving E_w[phi_star'(t - v) | A] = 1: in closed form for the built-in
+    "kl", by Newton's method for "chi2" and "power:2".  Others are searched.
     """
 
     name: str
@@ -135,6 +135,35 @@ def _neg_log_mean_exp(b, p, v) -> np.ndarray:
     return lo - np.log(b.dot(p, np.exp(shifted)) / b.sum(p))
 
 
+def _newton_mean_one_root(c, b, w, v) -> np.ndarray:
+    """The t with E_w[max(0, 1 + c (t - v)) | A] = 1 per atom of a block, for payoffs v <= 0.
+
+    The slope is convex and piecewise linear in t and at least 1 at t = 0,
+    so Newton's method from t = 0 never passes the root.  With S the states
+    where 1 + c (t - v) > 0, each pass solves the tangent,
+    t = (1 - W) / (c W) + E_w[v 1_S] / W with W = E_w[1_S], and t falls
+    until S stops shrinking: at most one pass per state.  An atom whose t
+    no longer falls is frozen, so it takes the passes it would alone.  This
+    is Newton's method for the continuous quadratic knapsack (Cominetti,
+    Mascarenhas & Silva, Math. Program. Comput. 6, 2014); for chi2 the
+    density is a weighted simplex projection (Condat, Math. Program. 158,
+    2016).
+    """
+    t = np.zeros(b.starts.size)
+    live = np.ones(t.size, dtype=bool)
+    # an empty S (t far below the root by rounding) gives NaN or inf: not a fall
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(v.size + 1):
+            ws = w * (v < b.spread(t + 1.0 / c))
+            mass = b.sum(ws)
+            step = (1.0 - mass) / (c * mass) + b.dot(ws, v) / mass
+            live &= step < t
+            if not live.any():
+                break
+            t = np.where(live, step, t)
+    return t
+
+
 def _kl_generator() -> DivergenceGenerator:
     return DivergenceGenerator(
         name="kl",
@@ -157,6 +186,7 @@ def _chi2_generator() -> DivergenceGenerator:
         phi_star=phi_star,
         phi_star_prime=lambda m: np.maximum(0.0, 1.0 + 0.5 * np.asarray(m, dtype=float)),
         phi_prime=lambda t: 2.0 * (np.asarray(t, dtype=float) - 1.0),
+        mean_one_root=partial(_newton_mean_one_root, 0.5),
     )
 
 
@@ -193,6 +223,7 @@ def _power_generator(alpha: float) -> DivergenceGenerator:
         phi_star=phi_star,
         phi_star_prime=phi_star_prime,
         phi_prime=phi_prime,
+        mean_one_root=partial(_newton_mean_one_root, 1.0) if a == 2.0 else None,
     )
 
 

@@ -15,11 +15,11 @@ y_s = phi_star'(lambda - x_s) for a scalar multiplier lambda, and the
 feasibility map lambda -> sum_s w_s phi_star'(lambda - x_s) is nondecreasing
 with value <= 1 at min_A x and >= 1 at max_A x.  That map minus one is the
 derivative of the primal objective, so the multiplier is the primal
-maximizer, taken from the one search in :mod:`condrisk.oce`.  By conjugate
+maximizer, taken from the one solve in :mod:`condrisk.oce`.  By conjugate
 duality the optimal value coincides with the primal certainty equivalent.
 :func:`oce_dual` and :func:`duality_gap` return the primal's result type,
 :class:`~condrisk.oce.OceSolution`: the dual value and the density, or
-|primal - dual|, at the search's multiplier.
+|primal - dual|, at the solve's multiplier.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def oce_dual(
 ) -> OceSolution:
     """Minimize the penalized expectation atom by atom.
 
-    The multiplier comes from the search shared with :func:`oce_primal`;
+    The multiplier comes from the solve shared with :func:`oce_primal`;
     the density phi_star'(lambda - x) and the value follow from it.  A
     single-state atom admits only the base measure, so there y = 1 and the
     value is x at that state.

@@ -16,16 +16,16 @@ a partition block at once; the search also waits for the slope residual to
 fall below tol, which adds steps where the root lies near a kink of
 phi_star'.  Every generator carries phi_star' (synthesized from phi
 when not given), so every generator can be searched.  A generator whose
-``mean_one_root`` gives the root in closed form is not: for the built-in
-KL, E[exp(a - x) | A] = 1 solves to a = -log E[exp(-x) | A], the
-log-sum-exp of :func:`entropic_risk` (Ben-Tal & Teboulle, Math. Finance
-17(3), 2007).  The maximizer is also the dual KKT multiplier, so this is
-the package's only multiplier solve:
-:func:`oce_primal`, :func:`condrisk.dual.oce_dual` and
-:func:`condrisk.dual.duality_gap` each run it once per block and evaluate
-their own value at it, and all three return it in one result type,
-:class:`OceSolution`, as ``multiplier`` (the dual's result also holds the
-density).
+``mean_one_root`` gives the root exactly is not: for the built-in KL,
+E[exp(a - x) | A] = 1 solves to a = -log E[exp(-x) | A], the log-sum-exp
+of :func:`entropic_risk` (Ben-Tal & Teboulle, Math. Finance 17(3), 2007);
+for chi2 and power:2 the slope is piecewise linear, and Newton's method
+ends at its root.  The maximizer is also the dual KKT multiplier, so this
+is the package's only multiplier solve: :func:`oce_primal`,
+:func:`condrisk.dual.oce_dual` and :func:`condrisk.dual.duality_gap` each
+run it once per block and evaluate their own value at it, and all three
+return it in one result type, :class:`OceSolution`, as ``multiplier``
+(the dual's result also holds the density).
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class OceSolution:
     |primal - dual| for :func:`condrisk.dual.duality_gap`.
     ``residuals[A]`` is the final bracket width of the search, which runs in
     coordinates centred at max_A x: a bound on how far ``multiplier[A]`` can
-    sit from the true maximizer, up to the rounding of moving it back.  A
-    closed-form root (built-in KL) and a single-state atom leave no bracket:
-    0.0, with ``iterations[A]`` 0.
+    sit from the true maximizer, up to the rounding of moving it back.  An
+    exact root (built-in kl, chi2 and power:2) and a single-state atom leave
+    no bracket: 0.0, with ``iterations[A]`` 0.
     ``density`` is the dual's minimizing density, renormalized atom by atom
     to conditional mean one, and None where the solve does not compute it.
     """
@@ -133,7 +133,7 @@ def _solve(space, g, gen, x, tol, evaluate, density=None) -> OceSolution:
                 r = bisect_nondecreasing(slope_gap, lo, np.zeros_like(lo), xtol=tol, ftol=tol)
                 t, width, steps = r.x, r.bracket_width, r.iterations
             else:
-                # the root in closed form, kept in the search's bracket [lo, 0]
+                # the exact root, kept in the search's bracket [lo, 0]
                 t = np.minimum(np.maximum(gen.mean_one_root(b, w, xc), lo), 0.0)
                 width, steps = np.zeros_like(lo), np.zeros(lo.shape, dtype=int)
         values.append(evaluate(gen, b, w, xa, c, t))

@@ -11,6 +11,9 @@ or spaces of more than 3 states, where the grids are small enough to sweep.
 * :func:`niveloidify_bruteforce` sweeps G-measurable shifts jointly with
   positions dominated by x for the supremum :func:`condrisk.niveloidify`
   computes;
+* :func:`piecewise_linear_root` finds the multiplier and value of the
+  ``chi2`` and ``power:2`` certainty equivalents in exact rational
+  arithmetic, by locating the root among the kinks of the slope;
 * :func:`parse_scenario_reference` checks a scenario entry by entry, in
   document order, for :func:`condrisk.cli.parse_scenario`.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -164,6 +168,36 @@ def niveloidify_bruteforce(
             climbing,
         )
     return ConditionalValue(best)
+
+
+def piecewise_linear_root(c, probs, x):
+    """The multiplier a and the value a - E[phi_star(a - x)] of one atom, exactly.
+
+    For phi_star'(m) = max(0, 1 + c m) (c = 1/2 for chi2, 1 for power:2),
+    so phi_star(m) = m + c m^2 / 2 above the kink -1/c and -1/(2c) below.
+    The slope g(a) = E[phi_star'(a - x)] is piecewise linear with kinks at
+    x_s - 1/c and reaches 1 by max x; the root is interpolated on the first
+    piece whose right end has g >= 1.  Returns two Fractions, computed from
+    the floats given, not rounded until the caller converts them.
+    """
+    c = Fraction(c)
+    p = [Fraction(v) for v in probs]
+    xs = [Fraction(v) for v in x]
+    total = sum(p)
+
+    def slope(a):
+        return sum(pi * max(Fraction(0), 1 + c * (a - xi)) for pi, xi in zip(p, xs)) / total
+
+    def star(m):
+        return m + c * m * m / 2 if m >= -1 / c else -1 / (2 * c)
+
+    lo = min(xs) - 1 / c  # g = 0 here
+    for hi in sorted({xi - 1 / c for xi in xs} | {max(xs)}):
+        if slope(hi) >= 1:
+            break
+        lo = hi
+    a = lo + (1 - slope(lo)) * (hi - lo) / (slope(hi) - slope(lo))
+    return a, a - sum(pi * star(a - xi) for pi, xi in zip(p, xs)) / total
 
 
 def _float(v) -> float:
