@@ -45,7 +45,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -144,8 +143,9 @@ def parse_scenario(raw) -> Scenario:
     then converted as any other.  So a malformed scenario reports its first
     fault in document order: each state entry (object and keys, then name,
     then prob), duplicate names, the probabilities, each atom (list and
-    nonempty, then members in order), the cover, then each position in key
-    order (list and length, entries, finiteness).
+    nonempty, then members in order), the cover (a state named twice, then
+    the states left out), then each position in key order (list and length,
+    entries, finiteness).
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -165,16 +165,7 @@ def parse_scenario(raw) -> Scenario:
     atoms_raw = raw.get("atoms")
     if not isinstance(atoms_raw, list) or not atoms_raw:
         raise ScenarioError("'atoms' must be a nonempty list of state-name lists")
-    atoms = _atoms(atoms_raw, index)
-    try:
-        partition = Partition(atoms)
-    except ValueError as e:
-        raise ScenarioError(f"bad atoms: {e}") from None
-    if partition.num_states != space.num_states:
-        raise ScenarioError(
-            f"bad atoms: they cover {partition.num_states} of {space.num_states} states; "
-            "every state must appear in exactly one atom"
-        )
+    partition = Partition(_atoms(atoms_raw, index))
 
     positions_raw = raw.get("positions", {})
     if not isinstance(positions_raw, dict):
@@ -224,7 +215,8 @@ def _state_faults(states: list) -> None:
 
 
 def _atoms(atoms_raw: list, index: dict):
-    """Each atom's state indices, looked up by name in ``index``."""
+    """Each atom's state indices, looked up by name in ``index``, once they
+    are found to cover every state of ``index`` exactly once."""
     members = itertools.chain.from_iterable
     if not (set(map(type, atoms_raw)) <= {list} and all(atoms_raw)
             and set(map(type, members(atoms_raw))) <= {str}):
@@ -234,6 +226,17 @@ def _atoms(atoms_raw: list, index: dict):
     except KeyError:  # an unknown name, which the loop names
         _atom_faults(atoms_raw, index)
         raise
+    counts = np.bincount(order, minlength=len(index))
+    if counts.max() > 1:
+        raise ScenarioError("bad atoms: atoms must be pairwise disjoint")
+    if not counts.all():  # name the first five states left out
+        names, missing = list(index), np.flatnonzero(counts == 0)
+        head = ", ".join(repr(names[i]) for i in missing[:5])
+        raise ScenarioError(
+            f"bad atoms: they leave out {missing.size} of {len(names)} states "
+            f"({head}{', ...' if missing.size > 5 else ''}); "
+            "every state must appear in exactly one atom"
+        )
     bounds = itertools.accumulate(map(len, atoms_raw), initial=0)
     return [order[lo:hi] for lo, hi in itertools.pairwise(bounds)]
 
@@ -270,57 +273,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_float(x: float) -> str:
-    if x - x == 0.0:  # finite
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-# how json.dumps writes each scalar type; bool, an int subclass, is not one here
-_JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__}
-
-
-def _json_nested(value, depth: int) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it ``depth`` levels
-    deep: its own lines indented by ``depth`` levels (escaped strings hold no
-    line break, so every line break is one of the layout's)."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _json_lines(items: list, depth: int, brackets: str) -> str:
-    """Written items between ``brackets`` ("{}" or "[]"), one per line, as
-    ``json.dumps(..., indent=2)`` lays out a container ``depth`` levels deep."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+# a flat row's keys sit three levels deep in ``json.dumps(..., indent=2)``;
+# this encoder (CPython's C one: no indent) lays them out the same way
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+# rows per encode call: the C encoder holds every token of a call until it
+# joins them, so one call over all rows would peak at several times the output
+_ROW_BATCH = 64
+# bool, an int subclass, and np.float64, a float one, are not flat values here
+_FLAT = {str, int, float}
 
 
 def _json_report(rows, echo, command: str) -> str:
     """``json.dumps(doc, indent=2)`` of ``doc = {"command": command, "rows":
-    rows}``, plus ``"scenario": echo`` when echo is given, for rows that are
-    objects with str keys.  Scalars are written here, which spares the
-    encoder's Python calls per value; nested values go through json.dumps."""
-    scalar = _JSON_SCALARS.get
-    written = [
-        _json_lines(
-            [
-                f"{encode_basestring_ascii(k)}: "
-                f"{write(v) if (write := scalar(type(v))) else _json_nested(v, 3)}"
-                for k, v in row.items()
-            ],
-            2,
-            "{}",
-        )
-        for row in rows
-    ]
-    fields = [
-        f'"command": {encode_basestring_ascii(command)}',
-        f'"rows": {_json_lines(written, 1, "[]")}',
-    ]
+    rows}``, plus ``"scenario": echo`` when echo is given.
+
+    Nonempty rows of str, int and float values only, with no echo, are
+    encoded ``_ROW_BATCH`` rows a call by ``_ROW_ENCODER``, whose output
+    differs from json.dumps's only where one row ends and the next begins:
+    at a closing brace, the row separator and an opening brace, which an
+    encoded string (it holds no raw line break) cannot contain.  Any other
+    report is ``json.dumps`` whole."""
+    doc = {"command": command, "rows": rows}
     if echo is not None:
-        fields.append(f'"scenario": {_json_nested(echo, 1)}')
-    return _json_lines(fields, 0, "{}")
+        doc["scenario"] = echo
+    values = itertools.chain.from_iterable(map(dict.values, rows))
+    if echo is not None or not (rows and all(rows) and set(map(type, values)) <= _FLAT):
+        return json.dumps(doc, indent=2)
+    between = "\n    },\n    {\n      "
+    body = between.join(
+        _ROW_ENCODER.encode(rows[i:i + _ROW_BATCH])[2:-2].replace("},\n      {", between)
+        for i in range(0, len(rows), _ROW_BATCH)
+    )
+    command = _ROW_ENCODER.encode(command)
+    return f'{{\n  "command": {command},\n  "rows": [\n    {{\n      {body}\n    }}\n  ]\n}}'
 
 
 def _emit(rows, fmt: str, echo, command: str) -> str:

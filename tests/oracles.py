@@ -256,15 +256,20 @@ def parse_scenario_reference(raw) -> Scenario:
                 raise ScenarioError(f"atoms[{pos}] names unknown state {member!r}")
             members.append(index[member])
         atoms.append(members)
-    try:
-        partition = Partition(atoms)
-    except ValueError as e:
-        raise ScenarioError(f"bad atoms: {e}") from None
-    if partition.num_states != space.num_states:
+    seen = [0] * len(names)
+    for members in atoms:
+        for i in members:
+            seen[i] += 1
+    if max(seen) > 1:
+        raise ScenarioError("bad atoms: atoms must be pairwise disjoint")
+    missing = [repr(name) for name, k in zip(names, seen) if k == 0]
+    if missing:
+        listed = ", ".join(missing[:5]) + (", ..." if len(missing) > 5 else "")
         raise ScenarioError(
-            f"bad atoms: they cover {partition.num_states} of {space.num_states} states; "
+            f"bad atoms: they leave out {len(missing)} of {len(names)} states ({listed}); "
             "every state must appear in exactly one atom"
         )
+    partition = Partition(atoms)
 
     positions_raw = raw.get("positions", {})
     if not isinstance(positions_raw, dict):

@@ -13,6 +13,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -570,6 +571,27 @@ class TestExitCodes:
         assert code == 2
         assert "bad atoms" in err
 
+    @pytest.mark.parametrize("atoms, fault", [
+        ([["b", "c"]], "they leave out 1 of 3 states ('a')"),
+        ([["a", "c"]], "they leave out 1 of 3 states ('b')"),
+        ([["a"], ["b"]], "they leave out 1 of 3 states ('c')"),
+        ([["b"]], "they leave out 2 of 3 states ('a', 'c')"),
+        ([["a"], ["a"]], "atoms must be pairwise disjoint"),  # reported before 'b' and 'c'
+    ])
+    def test_atoms_must_name_every_state_once(self, capsys, tmp_path, atoms, fault):
+        doc = {
+            "states": [{"name": s, "prob": 1 / 3} for s in "abc"],
+            "atoms": atoms,
+            "positions": {"x": [0.0, 1.0, 2.0]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["entropic", str(path), "--position", "x"])
+        assert (code, out) == (2, "")
+        if "leave out" in fault:
+            fault += "; every state must appear in exactly one atom"
+        assert err == f"condrisk: error: bad atoms: {fault}\n"
+
     @pytest.mark.parametrize("member", [["a"], {"name": "a"}])
     def test_atom_member_that_is_not_a_name(self, capsys, tmp_path, member):
         doc = {
@@ -838,6 +860,7 @@ class TestParserMatchesReference:
     @example({"states": [{"name": "0", "prob": 1.0}], "atoms": [["0"]], "positions": {"": []}})
     @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["zz"], []]})
     @example({"states": [{"name": "a", "prob": 1.0}], "atoms": [["a"], ["zz"]]})
+    @example({"states": [{"name": s, "prob": 1 / 7} for s in "abcdefg"], "atoms": [["d"]]})
     @example({"states": [{"name": "a", "prob": 0.5}, {"name": "b", "prob": 0.5}],
               "atoms": [["a", "b"]], "positions": {"x": [1.0]}})
     @settings(max_examples=300, deadline=None)
@@ -869,21 +892,47 @@ NESTED = st.recursive(
     max_leaves=8,
 )
 ROWS = st.lists(st.dictionaries(st.text(max_size=5), SCALARS | NESTED, max_size=7), max_size=4)
+# text that looks like the layout between two rows, as keys and values
+BRACES = ["{", "}", "},\n      {", '"},\n      {"', "a\n    },\n    {\n      b"]
+FLAT_STRINGS = st.text() | st.sampled_from(SPECIAL_STRINGS + BRACES)
+FLAT_SCALARS = (
+    st.floats() | st.sampled_from(SPECIAL_FLOATS) | FLAT_STRINGS
+    | st.integers() | st.sampled_from([10**400, -(2**70)])
+)
+
+
+@st.composite
+def flat_rows(draw):
+    """Nonempty rows of str, int and float values, fewer, as many as or more
+    than the writer encodes per call: a few drawn rows, repeated."""
+    drawn = draw(st.lists(
+        st.dictionaries(FLAT_STRINGS, FLAT_SCALARS, min_size=1, max_size=7), min_size=1, max_size=4
+    ))
+    batch = cli._ROW_BATCH
+    count = draw(st.sampled_from([batch - 1, batch, batch + 1, 2 * batch + 1])
+                 | st.integers(1, 3 * batch))
+    return [drawn[i % len(drawn)] for i in range(count)]
 
 
 class TestJsonWriter:
-    @given(ROWS, st.none() | NESTED, st.text() | st.sampled_from(SPECIAL_STRINGS))
-    @example([], None, "oce")
-    @example([], {"states": [], "atoms": {}}, "check")
+    @given(ROWS, st.none() | NESTED, st.text() | st.sampled_from(SPECIAL_STRINGS), flat_rows())
+    @example([], None, "oce", [{"atom": "A0", "value": 1.0, "iterations": 3}])
+    @example([], {"states": [], "atoms": {}}, "check", [{"}": "},\n      {"}] * 65)
     @example(
         [{"value": x, "note": s, "iterations": 10**400, "counterexample": {"x": [], "a": {}}}
          for x, s in zip(SPECIAL_FLOATS, SPECIAL_STRINGS)],
         {"states": [{"name": "a", "prob": 1.0}], "positions": {"x": [True, None, [[]]]}},
         "check",
+        [{"value": x, "note": s, "iterations": 10**400}
+         for x, s in zip(SPECIAL_FLOATS, SPECIAL_STRINGS)] * 11,
     )
     @settings(max_examples=200, deadline=None)
-    def test_report_is_what_json_dumps_writes(self, rows, echo, command):
+    def test_report_is_what_json_dumps_writes(self, rows, echo, command, flat):
         doc = {"command": command, "rows": rows}
         if echo is not None:
             doc["scenario"] = echo
         assert cli._emit(rows, "json", echo, command) == json.dumps(doc, indent=2) + "\n"
+        # a flat report is written without json.dumps, in batches of rows
+        expected = json.dumps({"command": command, "rows": flat}, indent=2) + "\n"
+        with mock.patch.object(json, "dumps", side_effect=AssertionError("not batched")):
+            assert cli._emit(flat, "json", None, command) == expected

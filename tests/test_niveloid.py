@@ -520,6 +520,31 @@ class TestPenalty:
         assert "not a proof" in message
 
 
+def nested_partitions():
+    """12 states with a fine partition of 6 atoms and a coarse one of 3, each
+    coarse atom the union of two fine ones."""
+    rng = np.random.default_rng(12)
+    space = FiniteProbabilitySpace([f"s{i}" for i in range(12)], probabilities(rng, 12))
+    perm = rng.permutation(12)
+    fine = Partition([perm[i:i + 2] for i in range(0, 12, 2)])
+    coarse = Partition([perm[i:i + 4] for i in range(0, 12, 4)])
+    return space, fine, coarse
+
+
+def composed(outer, inner, fine):
+    """``outer`` applied to ``inner``'s values, which live on the atoms of
+    ``fine``, spread back to the states."""
+    atom_of = np.empty(fine.num_states, dtype=np.intp)
+    for j, atom in enumerate(fine.index_arrays()):
+        atom_of[atom] = j
+    return ConditionalOperator(
+        evaluate=lambda z: outer.evaluate(inner.evaluate(z)[:, atom_of]),
+        monotone=True,
+        concave=True,
+        name=f"{outer.name}({inner.name})",
+    )
+
+
 class TestAxiomChecker:
     def test_true_niveloids_pass(self):
         rng = np.random.default_rng(71)
@@ -542,6 +567,49 @@ class TestAxiomChecker:
             assert "x" in c.counterexample
             assert c.max_violation > 1e-9
         assert "FAIL" in report.summary()
+
+    def test_non_local_operator_fails_locality_and_regularity(self):
+        # the unconditional mean on every atom: monotone, but each atom's
+        # value reads the states of the others
+        space = FiniteProbabilitySpace(
+            [f"s{i}" for i in range(6)], probabilities(np.random.default_rng(3), 6)
+        )
+        g = Partition([[0, 1], [2, 3], [4, 5]])
+        mean = ConditionalOperator(
+            evaluate=lambda z: np.repeat((z @ space.probs)[:, None], g.num_atoms, axis=1),
+            monotone=True,
+            concave=True,
+            name="mean",
+        )
+        report = check_niveloid_axioms(space, g, mean, samples=20)
+        failed = {c.name: c for c in report.failures()}
+        assert {"locality", "regularity"} <= set(failed), report.summary()
+        assert "monotonicity" not in failed
+        for c in (failed["locality"], failed["regularity"]):
+            assert c.max_violation > 0.1
+            assert set(c.counterexample) >= {"x", "set_atoms"}
+            assert 0 < len(c.counterexample["set_atoms"]) < g.num_atoms
+        assert "y" in failed["regularity"].counterexample
+
+    def test_composition_of_niveloids_is_a_niveloid(self):
+        # entropic on a coarse partition applied to the entropic value of a
+        # finer one, spread back to the states: a niveloid on the coarse one
+        space, fine, coarse = nested_partitions()
+        report = check_niveloid_axioms(
+            space, coarse,
+            composed(entropic_operator(space, coarse), entropic_operator(space, fine), fine),
+            samples=200,
+        )
+        assert report.passed, report.summary()
+
+    def test_composition_with_a_non_niveloid_is_not_translation_invariant(self):
+        space, fine, coarse = nested_partitions()
+        inner = iphi_operator(space, fine, builtin_generator("chi2"))
+        report = check_niveloid_axioms(
+            space, coarse, composed(entropic_operator(space, coarse), inner, fine), samples=50
+        )
+        failed = {c.name for c in report.failures()}
+        assert "translation_invariance" in failed, report.summary()
 
     def test_niveloidified_operator_passes(self):
         space = uniform_space(3)
