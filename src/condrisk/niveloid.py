@@ -26,7 +26,11 @@ ends that the bracket expansion has computed), and
 :func:`check_niveloid_axioms` seven per batch of samples.  The line
 searches of :func:`penalty` are loose in its early sweeps and start from
 brackets sized by each coordinate's last move, so that few of its steps
-go to precision the next sweep would undo.
+go to precision the next sweep would undo.  Before its sweeps,
+:func:`penalty` takes damped Newton steps on all atoms at once, two calls a
+step: one on the finite-difference positions of every atom's gradient and
+Hessian, the j-th states of all atoms perturbed in the same row, and one on
+the points of a line search along the Newton direction.
 """
 
 from __future__ import annotations
@@ -76,6 +80,15 @@ CEILING = 1e6
 # maximize each coordinate to PENALTY_XTOL, earlier ones more loosely
 PENALTY_SWEEPS = 500
 PENALTY_XTOL = 1e-10
+
+# penalty's warm start: at most _NEWTON_STEPS damped Newton steps from
+# finite differences, of width _GRAD_H for the gradient and _HESS_H for the
+# Hessian, whose rounding error grows as eps / h^2; each step's line search
+# tries 2, 1, 1/2, ..., 2^-14 times the direction
+_NEWTON_STEPS = 30
+_GRAD_H = 1e-5
+_HESS_H = 1e-3
+_LINE_STEPS = 2.0 ** -np.arange(-1.0, 15.0)
 
 
 @dataclass(frozen=True)
@@ -178,6 +191,59 @@ def niveloidify(
     return ConditionalValue(peak.value)
 
 
+def _newton_ascent(op, g, tilt, z, current):
+    """Damped Newton ascent of op(z) - tilt(z) on all atoms at once, from z.
+
+    ``current`` is the objective at z.  Each step makes one operator call for
+    the finite-difference gradient and Hessian, whose rows perturb the j-th
+    states of all atoms together (locality keeps the atoms apart), and one
+    for a line search along the direction, capped at a max-norm of 1 per
+    atom.  An atom moves only where the line search improves it and stops
+    at the first step that does not.  Returns the new z and objective, the
+    largest gain of the last step and each state's last direction.
+    """
+    n, k, m = g.num_states, g.num_atoms, int(g._sizes.max())
+    atom, j = np.nonzero(np.arange(m) < g._sizes[:, None])
+    state = g._order[np.cumsum(g._sizes)[atom] - g._sizes[atom] + j]
+    owner = np.empty(n, dtype=np.intp)
+    owner[state] = atom
+    unit = np.zeros((m, n))
+    unit[j, state] = 1.0
+    iu, ju = np.triu_indices(m, 1)
+    h, hh = _GRAD_H * unit, _HESS_H * unit
+    probes = np.concatenate([np.zeros((1, n)), h, -h, hh, -hh, hh[iu] + hh[ju]])
+    # the gradient of tilt: wy at the j-th state of each atom, 0 past its size
+    wy = np.zeros((k, m))
+    wy[atom, j] = tilt(unit)[j, atom]
+    climbing = np.ones(k, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        f = _eval(op, g, z + probes).T
+        f0 = f[:, :1]
+        up_g, down_g, up_h, down_h, pairs = np.split(f[:, 1:], [m, 2 * m, 3 * m, 4 * m], axis=1)
+        grad = (up_g - down_g) / (2.0 * _GRAD_H) - wy
+        hess = np.empty((k, m, m))
+        hess[:, iu, ju] = hess[:, ju, iu] = (pairs - up_h[:, iu] - up_h[:, ju] + f0) / _HESS_H**2
+        hess[:, np.arange(m), np.arange(m)] = (up_h + down_h - 2.0 * f0) / _HESS_H**2
+        # -hess is singular along a niveloid's constant vector: damp, and
+        # write the right-hand side as (..., m, 1), as numpy 1.24 reads it
+        damp = 1e-10 * (1.0 + np.abs(hess).max(axis=(1, 2)))
+        d = np.linalg.solve(damp[:, None, None] * np.eye(m) - hess, grad[..., None])[..., 0]
+        d /= np.maximum(1.0, np.abs(d).max(axis=1, keepdims=True))
+        direction = np.zeros(n)
+        direction[state] = d[atom, j]
+        trials = z + _LINE_STEPS[:, None] * direction
+        values = _eval(op, g, trials) - tilt(trials)
+        best = values.argmax(axis=0)
+        top = values[best, np.arange(k)]
+        climbing &= top > current
+        if not climbing.any():
+            return z, current, 0.0, direction
+        gain = float((top - current)[climbing].max())
+        current = np.where(climbing, top, current)
+        z = np.where(climbing[owner], trials[best[owner], np.arange(n)], z)
+    return z, current, gain, direction
+
+
 def penalty(
     space: FiniteProbabilitySpace,
     g: Partition,
@@ -193,17 +259,34 @@ def penalty(
     of all probes, which relies on the locality that ``concave`` carries
     (see the module notes), so the operator must declare it.
 
+    Before the sweeps, a warm start takes at most 30 damped Newton steps
+    on every atom at once, two operator calls a step.  One holds the
+    finite-difference positions of the gradient and Hessian: z, z +- h e_j
+    (h = 1e-5 for the gradient, 1e-3 for the Hessian, whose rounding error
+    grows as eps / h^2) and z + 1e-3 (e_i + e_j).  The other holds the line
+    search's points z + c d, c = 2, 1, 1/2, ..., 2^-14.  The direction d
+    solves (mu I - H) d = gradient with mu = 1e-10 (1 + max|H|), because a
+    niveloid's Hessian is singular along the atom's constant vector, and is
+    capped at a max-norm of 1, because an unpriced density's objective is
+    linear.  An atom moves only where the line search improves it and stops
+    at the first step that does not, so the warm start never lowers the
+    objective.  If its last step gained at most 1e-12, the sweeps start at
+    ``PENALTY_XTOL``.  With atoms of at most m states the derivative call
+    has 1 + 4m + m(m - 1)/2 positions; where those hold more than
+    ``BLOCK_STATES`` states in all, the warm start is skipped.
+
     The sweeps go from loose to tight.  Near a smooth maximum the value's
-    error is quadratic in the coordinate's, so the first sweep searches to
-    a width of 1e-3 and each later one to 1e-3 times the square root of the
-    largest gain of the sweep before, never wider than the last width nor
-    narrower than ``PENALTY_XTOL``, which is the width of the final sweeps.
-    A loose sweep that gains at most 1e-12 goes straight to
+    error is quadratic in the coordinate's, so a sweep searches to a width
+    of 1e-3 times the square root of the largest gain of the sweep or warm
+    start before it (1e-3 if none ran), never wider than 1e-3 or the last
+    width nor narrower than ``PENALTY_XTOL``, which is the width of the
+    final sweeps.  A loose sweep that gains at most 1e-12 goes straight to
     ``PENALTY_XTOL``, and an atom stops climbing once a sweep at
     ``PENALTY_XTOL`` improves it by less than 1e-12.  Each coordinate's
-    bracket is warm: it is centred on the coordinate, with a radius of 1
-    at first and then four times the coordinate's last move, kept within
-    [8 x width, 1].  A bracket that misses the maximum still grows (see
+    bracket is warm: it is centred on the coordinate, with a radius of four
+    times its last Newton direction within [1e-3, 1] at first (1 without a
+    warm start) and then four times the coordinate's last move, kept
+    within [8 x width, 1].  A bracket that misses the maximum still grows (see
     :func:`condrisk.scalar_opt.expand_bracket_max`); the cap at 1 keeps a
     flat direction, such as the one state of a one-state atom, from
     drifting with its radius towards ``CEILING``.
@@ -227,21 +310,36 @@ def penalty(
         )
     # E[z y | A] is sum_s wy_s z_s over the states of A
     wy = space.probs * y.values / _spread(g, atom_masses(space, g))
+
+    def tilt(v):
+        # E[v y | G] for positions v of shape (..., n)
+        return _per_atom(g, lambda b: b.dot(wy[b.idx], b.take(v)))
+
+    def next_xtol(gain):
+        # a loose sweep's width from the largest gain before it
+        return PENALTY_XTOL if gain <= 1e-12 else max(PENALTY_XTOL, min(xtol, 1e-3 * np.sqrt(gain)))
+
     starts = np.cumsum(g._sizes) - g._sizes
     z = np.zeros(space.num_states)
     radius = np.ones(space.num_states)
     current = _eval(op, g, z).copy()
     climbing = np.ones(g.num_atoms, dtype=bool)
     xtol = 1e-3
+    m = int(g._sizes.max())
+    # the warm start's derivative call has 1 + 4m + m(m - 1)/2 positions
+    if (1 + 4 * m + m * (m - 1) // 2) * space.num_states <= BLOCK_STATES:
+        z, current, gain, direction = _newton_ascent(op, g, tilt, z, current)
+        radius = np.clip(4.0 * np.abs(direction), 1e-3, 1.0)
+        xtol = next_xtol(gain)
     for _ in range(PENALTY_SWEEPS):
         before = current.copy()
-        for j in range(int(g._sizes.max())):
+        for j in range(m):
             atoms = np.flatnonzero(climbing & (g._sizes > j))
             if not atoms.size:
                 break
             s = g._order[starts[atoms] + j]
             # E[z y | A] without the term of the coordinate being searched
-            rest = _per_atom(g, lambda b: b.dot(wy[b.idx], z[b.idx]))[atoms] - wy[s] * z[s]
+            rest = tilt(z)[atoms] - wy[s] * z[s]
 
             def along(c):
                 # z with coordinate s set to each row of c: one trial vector per probe
@@ -268,10 +366,8 @@ def penalty(
         # the next sweep's width from its largest gain
         if xtol == PENALTY_XTOL:
             climbing &= gain > 1e-12
-        elif gain.max() <= 1e-12:
-            xtol = PENALTY_XTOL
         else:
-            xtol = max(PENALTY_XTOL, min(xtol, 1e-3 * np.sqrt(gain.max())))
+            xtol = next_xtol(gain.max())
         if not climbing.any():
             break
     unbounded = np.flatnonzero(np.isinf(current)).tolist()
