@@ -27,10 +27,11 @@ ends that the bracket expansion has computed), and
 searches of :func:`penalty` are loose in its early sweeps and start from
 brackets sized by each coordinate's last move, so that few of its steps
 go to precision the next sweep would undo.  Before its sweeps,
-:func:`penalty` takes damped Newton steps on all atoms at once, two calls a
-step: one on the finite-difference positions of every atom's gradient and
-Hessian, the j-th states of all atoms perturbed in the same row, and one on
-the points of a line search along the Newton direction.
+:func:`penalty` takes damped Newton steps on all atoms at once: each
+evaluates the finite-difference positions of every atom's gradient and
+Hessian, the j-th states of all atoms perturbed in the same row, in calls of
+at most ``BLOCK_STATES`` states, and makes one call on the points of a line
+search along the Newton direction.
 """
 
 from __future__ import annotations
@@ -191,36 +192,50 @@ def niveloidify(
     return ConditionalValue(peak.value)
 
 
-def _newton_ascent(op, g, tilt, z, current):
-    """Damped Newton ascent of op(z) - tilt(z) on all atoms at once, from z.
+def _newton_ascent(op, g, wy, z, current):
+    """Damped Newton ascent of op(z) - E[z y | G] on all atoms at once, from z.
 
-    ``current`` is the objective at z.  Each step makes one operator call for
-    the finite-difference gradient and Hessian, whose rows perturb the j-th
-    states of all atoms together (locality keeps the atoms apart), and one
-    for a line search along the direction, capped at a max-norm of 1 per
-    atom.  An atom moves only where the line search improves it and stops
-    at the first step that does not.  Returns the new z and objective, the
-    largest gain of the last step and each state's last direction.
+    ``wy`` holds each state's weight in E[z y | A] and ``current`` the
+    objective at z.  Each step evaluates the finite-difference positions of
+    the gradient and Hessian, whose rows perturb the j-th states of all
+    atoms together (locality keeps the atoms apart), in calls of at most
+    ``BLOCK_STATES`` states, and makes one call for a line search along the
+    direction, capped at a max-norm of 1 per atom.  An atom moves only where
+    the line search improves it and stops at the first step that does not.
+    Returns the new z and objective, the largest gain of the last step and
+    each state's last direction.
     """
     n, k, m = g.num_states, g.num_atoms, int(g._sizes.max())
     atom, j = np.nonzero(np.arange(m) < g._sizes[:, None])
     state = g._order[np.cumsum(g._sizes)[atom] - g._sizes[atom] + j]
     owner = np.empty(n, dtype=np.intp)
     owner[state] = atom
-    unit = np.zeros((m, n))
-    unit[j, state] = 1.0
+    # the j-th state of each atom and its weight, 0 past the atom's size
+    at = np.zeros((k, m), dtype=np.intp)
+    at[atom, j] = state
+    wyk = np.zeros((k, m))
+    wyk[atom, j] = wy[state]
+    # e[j] is the j-th state of every atom, e[m] none; the derivative
+    # positions are z + u e[a] + h_H e[b]: z, z +- h_g e_j, z +- h_H e_j and
+    # z + h_H (e_i + e_j), 1 + 4m + m(m - 1)/2 rows
+    e = np.zeros((m + 1, n))
+    e[j, state] = 1.0
     iu, ju = np.triu_indices(m, 1)
-    h, hh = _GRAD_H * unit, _HESS_H * unit
-    probes = np.concatenate([np.zeros((1, n)), h, -h, hh, -hh, hh[iu] + hh[ju]])
-    # the gradient of tilt: wy at the j-th state of each atom, 0 past its size
-    wy = np.zeros((k, m))
-    wy[atom, j] = tilt(unit)[j, atom]
+    a = np.concatenate([[m], np.tile(np.arange(m), 4), iu])
+    b = np.concatenate([np.full(1 + 4 * m, m), ju])
+    u = np.concatenate(
+        [[0.0], np.repeat([_GRAD_H, -_GRAD_H, _HESS_H, -_HESS_H], m), np.full(iu.size, _HESS_H)]
+    )
+    batch = max(1, BLOCK_STATES // n)
     climbing = np.ones(k, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        f = _eval(op, g, z + probes).T
+        f = np.concatenate([
+            _eval(op, g, z + u[r, None] * e[a[r]] + _HESS_H * e[b[r]])
+            for r in (slice(i, i + batch) for i in range(0, u.size, batch))
+        ]).T
         f0 = f[:, :1]
         up_g, down_g, up_h, down_h, pairs = np.split(f[:, 1:], [m, 2 * m, 3 * m, 4 * m], axis=1)
-        grad = (up_g - down_g) / (2.0 * _GRAD_H) - wy
+        grad = (up_g - down_g) / (2.0 * _GRAD_H) - wyk
         hess = np.empty((k, m, m))
         hess[:, iu, ju] = hess[:, ju, iu] = (pairs - up_h[:, iu] - up_h[:, ju] + f0) / _HESS_H**2
         hess[:, np.arange(m), np.arange(m)] = (up_h + down_h - 2.0 * f0) / _HESS_H**2
@@ -231,8 +246,10 @@ def _newton_ascent(op, g, tilt, z, current):
         d /= np.maximum(1.0, np.abs(d).max(axis=1, keepdims=True))
         direction = np.zeros(n)
         direction[state] = d[atom, j]
+        # E[(z + c d) y | A] is linear in the step c
         trials = z + _LINE_STEPS[:, None] * direction
-        values = _eval(op, g, trials) - tilt(trials)
+        level, slope = (wyk * z[at]).sum(axis=1), (wyk * d).sum(axis=1)
+        values = _eval(op, g, trials) - (level + _LINE_STEPS[:, None] * slope)
         best = values.argmax(axis=0)
         top = values[best, np.arange(k)]
         climbing &= top > current
@@ -259,36 +276,37 @@ def penalty(
     of all probes, which relies on the locality that ``concave`` carries
     (see the module notes), so the operator must declare it.
 
-    Before the sweeps, a warm start takes at most 30 damped Newton steps
-    on every atom at once, two operator calls a step.  One holds the
-    finite-difference positions of the gradient and Hessian: z, z +- h e_j
-    (h = 1e-5 for the gradient, 1e-3 for the Hessian, whose rounding error
-    grows as eps / h^2) and z + 1e-3 (e_i + e_j).  The other holds the line
-    search's points z + c d, c = 2, 1, 1/2, ..., 2^-14.  The direction d
-    solves (mu I - H) d = gradient with mu = 1e-10 (1 + max|H|), because a
+    Before the sweeps, a warm start takes at most 30 damped Newton steps on
+    every atom at once.  A step evaluates the finite-difference positions of
+    the gradient and Hessian: z, z +- h e_j (h = 1e-5 for the gradient, 1e-3
+    for the Hessian, whose rounding error grows as eps / h^2) and z + 1e-3
+    (e_i + e_j), 1 + 4m + m(m - 1)/2 positions for atoms of at most m
+    states, split into calls of at most ``BLOCK_STATES`` states (one
+    position a call where a position alone holds more; one call for atoms of
+    four states).  One more call holds the line search's points z + c d,
+    with c from 2 down to 2^-14 by halves.  The direction d solves
+    (mu I - H) d = g, the gradient, with mu = 1e-10 (1 + max|H|), because a
     niveloid's Hessian is singular along the atom's constant vector, and is
     capped at a max-norm of 1, because an unpriced density's objective is
     linear.  An atom moves only where the line search improves it and stops
     at the first step that does not, so the warm start never lowers the
     objective.  If its last step gained at most 1e-12, the sweeps start at
-    ``PENALTY_XTOL``.  With atoms of at most m states the derivative call
-    has 1 + 4m + m(m - 1)/2 positions; where those hold more than
-    ``BLOCK_STATES`` states in all, the warm start is skipped.
+    ``PENALTY_XTOL``.  The gradients and Hessians of k atoms hold k m^2
+    values.
 
     The sweeps go from loose to tight.  Near a smooth maximum the value's
     error is quadratic in the coordinate's, so a sweep searches to a width
     of 1e-3 times the square root of the largest gain of the sweep or warm
-    start before it (1e-3 if none ran), never wider than 1e-3 or the last
-    width nor narrower than ``PENALTY_XTOL``, which is the width of the
-    final sweeps.  A loose sweep that gains at most 1e-12 goes straight to
-    ``PENALTY_XTOL``, and an atom stops climbing once a sweep at
-    ``PENALTY_XTOL`` improves it by less than 1e-12.  Each coordinate's
-    bracket is warm: it is centred on the coordinate, with a radius of four
-    times its last Newton direction within [1e-3, 1] at first (1 without a
-    warm start) and then four times the coordinate's last move, kept
-    within [8 x width, 1].  A bracket that misses the maximum still grows (see
-    :func:`condrisk.scalar_opt.expand_bracket_max`); the cap at 1 keeps a
-    flat direction, such as the one state of a one-state atom, from
+    start before it, never wider than 1e-3 or the last width nor narrower
+    than ``PENALTY_XTOL``, which is the width of the final sweeps.  A loose
+    sweep that gains at most 1e-12 goes straight to ``PENALTY_XTOL``, and an
+    atom stops climbing once a sweep at ``PENALTY_XTOL`` improves it by less
+    than 1e-12.  Each coordinate's bracket is warm: it is centred on the
+    coordinate, with a radius of four times its last Newton direction within
+    [1e-3, 1] at first and then four times the coordinate's last move, kept
+    within [8 x width, 1].  A bracket that misses the maximum still grows
+    (see :func:`condrisk.scalar_opt.expand_bracket_max`); the cap at 1 keeps
+    a flat direction, such as the one state of a one-state atom, from
     drifting with its radius towards ``CEILING``.
 
     A finite result is a lower bound on the true penalty that is exact for
@@ -311,26 +329,19 @@ def penalty(
     # E[z y | A] is sum_s wy_s z_s over the states of A
     wy = space.probs * y.values / _spread(g, atom_masses(space, g))
 
-    def tilt(v):
-        # E[v y | G] for positions v of shape (..., n)
-        return _per_atom(g, lambda b: b.dot(wy[b.idx], b.take(v)))
-
     def next_xtol(gain):
         # a loose sweep's width from the largest gain before it
         return PENALTY_XTOL if gain <= 1e-12 else max(PENALTY_XTOL, min(xtol, 1e-3 * np.sqrt(gain)))
 
     starts = np.cumsum(g._sizes) - g._sizes
     z = np.zeros(space.num_states)
-    radius = np.ones(space.num_states)
     current = _eval(op, g, z).copy()
     climbing = np.ones(g.num_atoms, dtype=bool)
     xtol = 1e-3
     m = int(g._sizes.max())
-    # the warm start's derivative call has 1 + 4m + m(m - 1)/2 positions
-    if (1 + 4 * m + m * (m - 1) // 2) * space.num_states <= BLOCK_STATES:
-        z, current, gain, direction = _newton_ascent(op, g, tilt, z, current)
-        radius = np.clip(4.0 * np.abs(direction), 1e-3, 1.0)
-        xtol = next_xtol(gain)
+    z, current, gain, direction = _newton_ascent(op, g, wy, z, current)
+    radius = np.clip(4.0 * np.abs(direction), 1e-3, 1.0)
+    xtol = next_xtol(gain)
     for _ in range(PENALTY_SWEEPS):
         before = current.copy()
         for j in range(m):
@@ -339,7 +350,7 @@ def penalty(
                 break
             s = g._order[starts[atoms] + j]
             # E[z y | A] without the term of the coordinate being searched
-            rest = tilt(z)[atoms] - wy[s] * z[s]
+            rest = _per_atom(g, lambda b: b.dot(wy[b.idx], z[b.idx]))[atoms] - wy[s] * z[s]
 
             def along(c):
                 # z with coordinate s set to each row of c: one trial vector per probe

@@ -560,7 +560,7 @@ def test_criterion_14_the_penalty_represents_the_completion():
 def test_criterion_14_separable_penalty_takes_few_operator_calls():
     # I_phi is separable over the states, so one exact sweep would do.  The
     # loose-then-tight sweeps alone made 102 calls here for kl, and two
-    # sweeps at full precision 90; the Newton warm start brings it to 59.
+    # sweeps at full precision 90; the Newton warm start brings it to 57.
     _, space, g, x, gen = _representation_instance("kl")
     y_star = oce_dual(space, g, gen, x).density
     inner = iphi_operator(space, g, gen)
